@@ -90,8 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--dt-max", type=float, default=None,
                     help="override the SDE suite integrator cap")
     pv.add_argument("--out", default="-")
-    pv.add_argument("--threads", type=int, default=0,
-                    help="worker bound (results are independent of it)")
     return p
 
 

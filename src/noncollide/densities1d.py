@@ -161,13 +161,15 @@ def bessel3_density_origin(t: float, y):
 # Modified Bessel function I_nu
 # ---------------------------------------------------------------------------
 
+# the large-z expansion needs z >> nu^2: switch at z > max(25, nu^2)
 _I_SERIES_ASYMPTOTIC_SWITCH = 25.0
 
 
 def _bessel_i_series_scaled(nu: float, z: np.ndarray) -> np.ndarray:
-    """exp(-z) * I_nu(z) by the ascending series, for 0 < z <= ~30."""
+    """exp(-z) * I_nu(z) by the ascending series, for 0 < z <= max(25, nu^2)."""
     # all terms positive: no cancellation
-    term = np.exp(nu * np.log(z / 2.0) - math.lgamma(nu + 1.0))
+    # log(z) - log 2, not log(z / 2): z / 2 underflows to 0 at z = 5e-324
+    term = np.exp(nu * (np.log(z) - math.log(2.0)) - math.lgamma(nu + 1.0))
     total = term.copy()
     z2 = z * z / 4.0
     for k in range(400):
@@ -179,7 +181,7 @@ def _bessel_i_series_scaled(nu: float, z: np.ndarray) -> np.ndarray:
 
 
 def _bessel_i_asym_scaled(nu: float, z: np.ndarray) -> np.ndarray:
-    """exp(-z) * I_nu(z) by the large-argument expansion, z >= ~25."""
+    """exp(-z) * I_nu(z) by the large-argument expansion, z > max(25, nu^2)."""
     mu = 4.0 * nu * nu
     term = np.ones_like(z)
     total = np.ones_like(z)
@@ -197,7 +199,13 @@ def _bessel_i_asym_scaled(nu: float, z: np.ndarray) -> np.ndarray:
 
 
 def bessel_i_scaled(nu: float, z):
-    """Exponentially scaled modified Bessel function exp(-z) * I_nu(z)."""
+    """Exponentially scaled modified Bessel function exp(-z) * I_nu(z).
+
+    Relative error <= 1e-13 against scipy's ``ive`` for -1 < nu <= 20
+    (checked on 1e-3 <= z <= 650).  The series runs up to z = max(25, nu^2)
+    and its terms grow like e^z, so past nu ~ 25 digits are lost (1e-8 at
+    nu = 26) and past nu ~ 26.6 the terms overflow to NaN.
+    """
     z_arr = np.asarray(z, dtype=float)
     scalar = z_arr.ndim == 0
     z_arr = np.atleast_1d(z_arr)
@@ -207,10 +215,11 @@ def bessel_i_scaled(nu: float, z):
     zero = z_arr == 0.0
     if zero.any():
         out[zero] = 1.0 if nu == 0.0 else (0.0 if nu > 0.0 else math.inf)
-    small = (~zero) & (z_arr <= _I_SERIES_ASYMPTOTIC_SWITCH)
+    switch = max(_I_SERIES_ASYMPTOTIC_SWITCH, nu * nu)
+    small = (~zero) & (z_arr <= switch)
     if small.any():
         out[small] = _bessel_i_series_scaled(nu, z_arr[small])
-    large = z_arr > _I_SERIES_ASYMPTOTIC_SWITCH
+    large = z_arr > switch
     if large.any():
         out[large] = _bessel_i_asym_scaled(nu, z_arr[large])
     return float(out[0]) if scalar else out

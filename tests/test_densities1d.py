@@ -146,6 +146,25 @@ def test_bessel_i_seam(nu):
     assert abs(series - asym) / asym <= 1e-9
 
 
+def test_bessel_i_scaled_matches_scipy_ive():
+    special = pytest.importorskip("scipy.special")
+    zs = np.logspace(-3.0, math.log10(600.0), 400)
+    for nu in (0.0, 0.5, 1.0, 3.0, 8.0, 10.0, 15.0, 20.0):
+        ref = special.ive(nu, zs)
+        rel = np.abs(dens.bessel_i_scaled(nu, zs) - ref) / ref
+        assert rel.max() <= 1e-12, (nu, zs[np.argmax(rel)], rel.max())
+
+
+def test_bessel_i_scaled_large_order_past_25():
+    # z = 26 is past the fixed switch at 25 but not past nu^2 = 64
+    assert dens.bessel_i_scaled(8.0, 26.0) == pytest.approx(0.022642014000642457, rel=1e-12)
+
+
+def test_bessel_at_smallest_subnormal():
+    assert dens.bessel_i_scaled(0.0, 5e-324) == 1.0
+    assert math.isfinite(dens.bessel_density(0.0, 1.0, 5e-324, 1.0))
+
+
 def test_bessel_i_overflow_and_scaled():
     with pytest.raises(OverflowSignal):
         dens.bessel_i(0.0, 800.0)

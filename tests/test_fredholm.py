@@ -98,6 +98,33 @@ def test_tracy_widom_dual_route(alpha):
     assert abs(f1 - f2) <= 1e-6
 
 
+@pytest.mark.parametrize("alpha", [-2.0002, -2.0005, -3.1234, 0.0007])
+def test_tracy_widom_painleve_off_grid(alpha):
+    # alpha between the Painleve table's points: the partial cell must run
+    assert abs(F.tracy_widom_painleve(alpha) - F.tracy_widom_fredholm(alpha)) <= 1e-10
+
+
+def _airy_nystrom_scipy(alpha, m=120):
+    """det(I - K_Airy) on (alpha, max(alpha, 0) + 16), kernel from scipy."""
+    airy = pytest.importorskip("scipy.special").airy
+    t, w = np.polynomial.legendre.leggauss(m)
+    b = max(alpha, 0.0) + 16.0
+    x = alpha + 0.5 * (b - alpha) * (t + 1.0)
+    w = 0.5 * (b - alpha) * w
+    ai, aip, _, _ = airy(x)
+    d = x[:, None] - x[None, :]
+    np.fill_diagonal(d, 1.0)
+    k = (ai[:, None] * aip[None, :] - aip[:, None] * ai[None, :]) / d
+    np.fill_diagonal(k, aip**2 - x * ai**2)
+    rw = np.sqrt(w)
+    return float(np.linalg.det(np.eye(m) - rw[:, None] * k * rw[None, :]))
+
+
+@pytest.mark.parametrize("alpha", [-11.5, -7.5003, -6.0, -2.0, 0.0, 3.3, 7.9])
+def test_tracy_widom_fredholm_matches_scipy_closed_form(alpha):
+    assert abs(F.tracy_widom_fredholm(alpha) - _airy_nystrom_scipy(alpha)) <= 1e-12
+
+
 def test_painleve_boundary_condition():
     q = F.painleve2_hastings_mcleod([8.0, 7.0, 6.0])
     assert q[0] == K.airy_ai(8.0)

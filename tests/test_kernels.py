@@ -228,6 +228,24 @@ def test_airy_kernel_diagonal_closed_form():
         assert abs(v - closed) <= 1e-10
 
 
+def test_airy_kernel_equal_time_matches_integral():
+    # closed form (Taylor form for |x - y| < 1e-2) against the defining
+    # integral int_0^inf Ai(x + v) Ai(y + v) dv of the s < t branch
+    for y0 in (-6.0, -3.3, 0.0, 2.5, 5.0):
+        for d in (0.0, 1e-9, 1e-5, 9.9e-3, 1.01e-2, 0.4, -0.4):
+            closed = K.kernel_airy(1.0, y0 + d, 1.0, y0)
+            integral = K.kernel_airy(1.0 - 1e-13, y0 + d, 1.0, y0)
+            assert abs(closed - integral) <= 1e-11, (y0, d)
+
+
+def test_airy_gram_matches_kernel():
+    xs = np.linspace(-9.0, 6.0, 41)
+    gram = K.airy_kernel().equal_time_matrix(0.0, xs)
+    for i in (0, 7, 20, 40):
+        for j in (0, 13, 20, 33):
+            assert gram[i, j] == pytest.approx(K.kernel_airy(2.0, xs[i], 2.0, xs[j]), abs=1e-14)
+
+
 def test_airy_kernel_decay():
     assert K.kernel_airy(1.0, 6.0, 1.0, 6.0) < math.exp(-6.0)
 
