@@ -149,7 +149,7 @@ with open({csv!r}) as fh:
         if not row or row[0].startswith("#"):
             continue
         try:
-            x, y = float(row[0]), float(row[1])
+            x, y = float(row[{xcol}]), float(row[{ycol}])
         except ValueError:
             continue  # column-header row
         xs.append(x)
@@ -163,11 +163,13 @@ print("wrote", {png!r})
 """
 
 
-def _emit_plot(out: str, xlabel: str, ylabel: str, title: str):
+def _emit_plot(out: str, xlabel: str, ylabel: str, title: str, xcol: int = 0, ycol: int = 1):
+    """Write a plot script for the CSV at ``out``: column ``ycol`` against ``xcol``."""
     if out == "-":
         return
     script = _PLOT_TEMPLATE.format(
-        csv=out, xlabel=xlabel, ylabel=ylabel, title=title, png=out + ".png"
+        csv=out, xlabel=xlabel, ylabel=ylabel, title=title, png=out + ".png",
+        xcol=xcol, ycol=ycol,
     )
     with open(out + ".plot.py", "w", encoding="utf-8") as fh:
         fh.write(script)
@@ -224,27 +226,19 @@ def _cmd_table(args) -> int:
             v = kern.evaluate(args.s, float(x), args.t, float(x))
             rows.append(f"{_fmt(args.s)},{_fmt(x)},{_fmt(args.t)},{_fmt(x)},{_fmt(v)}")
         _write(args.out, "\n".join(rows) + "\n")
-        _emit_plot(args.out, "s", "K", f"{fam} kernel diagonal")
+        _emit_plot(args.out, "x", "K", f"{fam} kernel diagonal", xcol=1, ycol=4)
         return 0
-    # densities
+    # densities: one-particle tables; pN, pN-nu and gN reduce to BM / Bessel at N = 1
+    if args.fn in ("pN", "pN-nu", "gN") and args.n != 1:
+        print(f"error: --what density --fn {args.fn} tabulates N = 1 only, "
+              f"got --n {args.n}", file=sys.stderr)
+        return 2
     rows.append("y,value")
     for y in _grid(args.x_min, args.x_max, args.step):
         y = float(y)
-        if args.fn == "bm":
-            v = dens.bm_density(args.t, y, 0.0)
-        elif args.fn == "bessel":
+        if args.fn in ("bessel", "pN-nu"):
             v = dens.bessel_density(args.nu, args.t, y, 0.0) if y >= 0 else 0.0
-        elif args.fn == "pN":
-            if args.n == 1:
-                v = dens.bm_density(args.t, y, 0.0)
-            else:
-                v = float("nan")
-        elif args.fn == "pN-nu":
-            if args.n == 1:
-                v = dens.bessel_density(args.nu, args.t, y, 0.0) if y >= 0 else 0.0
-            else:
-                v = float("nan")
-        else:  # gN origin, N=1 reduces to BM
+        else:
             v = dens.bm_density(args.t, y, 0.0)
         rows.append(f"{_fmt(y)},{_fmt(v)}")
     _write(args.out, "\n".join(rows) + "\n")

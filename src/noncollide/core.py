@@ -61,10 +61,10 @@ def validate_chamber(x: Sequence[float], chamber: Chamber | str) -> OrderedConfi
     """
     if isinstance(chamber, str):
         chamber = Chamber(chamber.upper())
-    vals = [float(v) for v in x]
-    if len(vals) == 0:
+    vals = tuple(map(float, x))
+    if not vals:
         raise DomainError("configuration must be nonempty")
-    if not all(math.isfinite(v) for v in vals):
+    if not all(map(math.isfinite, vals)):
         raise NonFinite("configuration contains NaN or Inf")
 
     if chamber is Chamber.C and not vals[0] > 0.0:
@@ -77,7 +77,7 @@ def validate_chamber(x: Sequence[float], chamber: Chamber | str) -> OrderedConfi
     for i in range(start, len(vals)):
         if not vals[i - 1] < vals[i]:
             raise ChamberViolation(i)
-    return OrderedConfiguration(values=tuple(vals), chamber=chamber)
+    return OrderedConfiguration(values=vals, chamber=chamber)
 
 
 class RngStream:

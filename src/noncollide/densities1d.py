@@ -163,6 +163,7 @@ def bessel3_density_origin(t: float, y):
 
 # the large-z expansion needs z >> nu^2: switch at z > max(25, nu^2)
 _I_SERIES_ASYMPTOTIC_SWITCH = 25.0
+_I_MAX_ORDER = 20.0  # past this the series loses digits before the switch
 
 
 def _bessel_i_series_scaled(nu: float, z: np.ndarray) -> np.ndarray:
@@ -202,10 +203,15 @@ def bessel_i_scaled(nu: float, z):
     """Exponentially scaled modified Bessel function exp(-z) * I_nu(z).
 
     Relative error <= 1e-13 against scipy's ``ive`` for -1 < nu <= 20
-    (checked on 1e-3 <= z <= 650).  The series runs up to z = max(25, nu^2)
-    and its terms grow like e^z, so past nu ~ 25 digits are lost (1e-8 at
-    nu = 26) and past nu ~ 26.6 the terms overflow to NaN.
+    (checked on 1e-3 <= z <= 650); other orders raise
+    :class:`BesselIndexOutOfRange`.  The series runs up to z = max(25, nu^2)
+    and its terms grow like e^z, so past nu ~ 25 digits would be lost (1e-8
+    at nu = 26) and past nu ~ 26.6 the terms overflow to NaN.
     """
+    if not -1.0 < nu <= _I_MAX_ORDER:
+        raise BesselIndexOutOfRange(
+            f"bessel_i_scaled needs -1 < nu <= {_I_MAX_ORDER:g}, got {nu}"
+        )
     z_arr = np.asarray(z, dtype=float)
     scalar = z_arr.ndim == 0
     z_arr = np.atleast_1d(z_arr)

@@ -15,6 +15,7 @@ Construction conventions (diagonal variance t throughout):
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 import numpy as np
@@ -375,6 +376,7 @@ def sample_path(kind: EnsembleKind, grid: TimeGrid, stream: RngStream) -> Matrix
 # exact eigenvalue densities and the Harish-Chandra identity
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def _log_c3(n: int) -> float:
     return 0.5 * n * math.log(2.0 * math.pi) + sum(
         math.lgamma(2.0 * i) for i in range(1, n + 1)
@@ -389,16 +391,21 @@ def eigen_density_exact(kind: EnsembleKind, x: OrderedConfiguration, t: float) -
         raise DomainError("chamber A required")
     if not t > 0.0:
         raise NonPositiveTime("t must be positive")
+    # Python floats throughout: per-call numpy arrays would cost more than the arithmetic
     n = x.n
-    xv = x.as_array() / math.sqrt(t)
-    log_h = log_vandermonde(xv)
+    rt = math.sqrt(t)
+    xs = [v / rt for v in x.values]
+    log_h = log_vandermonde(xs)
+    sq = 0.0
+    for v in xs:
+        sq += v * v
     if kind.tag == "gue":
         log_c, power = constants(n).log_c1, 2.0
     elif kind.tag == "goe":
         log_c, power = constants(n).log_c2, 1.0
     else:
         log_c, power = _log_c3(n), 4.0
-    logv = -0.5 * n * math.log(t) - log_c + power * log_h - float(xv @ xv) / 2.0
+    logv = -0.5 * n * math.log(t) - log_c + power * log_h - sq / 2.0
     return math.exp(logv)
 
 

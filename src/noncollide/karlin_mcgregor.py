@@ -8,6 +8,7 @@ meaningless, so all assembly happens on logs and is exponentiated last.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -170,35 +171,42 @@ def f_n_log(t: float, y: OrderedConfiguration, x: OrderedConfiguration) -> tuple
 # Vandermonde products and normalization constants
 # ---------------------------------------------------------------------------
 
+def _floats(x) -> list[float]:
+    """x as a list of Python floats: scalar loops over them beat numpy indexing."""
+    if isinstance(x, np.ndarray):
+        return np.asarray(x, dtype=float).tolist()
+    return [float(a) for a in x]
+
+
 def vandermonde(x) -> float:
     """prod_{i<j} (x_j - x_i); sign follows the input order."""
-    v = np.asarray(x, dtype=float)
+    v = _floats(x)
     out = 1.0
-    for i in range(len(v)):
-        for j in range(i + 1, len(v)):
-            out *= v[j] - v[i]
-    return float(out)
+    for i, a in enumerate(v):
+        for b in v[i + 1:]:
+            out *= b - a
+    return out
 
 
 def vandermonde_alpha(x, alpha: float) -> float:
     """prod_{i<j} (x_j^2 - x_i^2) * prod_k x_k^alpha."""
-    v = np.asarray(x, dtype=float)
-    if alpha != int(alpha) and np.any(v <= 0.0):
+    v = _floats(x)
+    if alpha != int(alpha) and any(a <= 0.0 for a in v):
         raise DomainError("nonpositive entries need integer alpha")
     out = 1.0
-    for i in range(len(v)):
-        for j in range(i + 1, len(v)):
-            out *= v[j] ** 2 - v[i] ** 2
-    return float(out * np.prod(v**alpha))
+    for i, a in enumerate(v):
+        for b in v[i + 1:]:
+            out *= b * b - a * a
+    return float(out * np.prod(np.power(v, alpha)))
 
 
 def log_vandermonde(x) -> float:
     """log prod (x_j - x_i) for a strictly increasing x."""
-    v = np.asarray(x, dtype=float)
+    v = _floats(x)
     out = 0.0
-    for i in range(len(v)):
-        for j in range(i + 1, len(v)):
-            d = v[j] - v[i]
+    for i, a in enumerate(v):
+        for b in v[i + 1:]:
+            d = b - a
             if d <= 0.0:
                 return -math.inf
             out += math.log(d)
@@ -207,14 +215,14 @@ def log_vandermonde(x) -> float:
 
 def log_vandermonde_alpha(x, alpha: float) -> float:
     """log of vandermonde_alpha for strictly increasing positive x."""
-    v = np.asarray(x, dtype=float)
+    v = _floats(x)
     out = 0.0
-    for i in range(len(v)):
-        if v[i] <= 0.0:
+    for i, a in enumerate(v):
+        if a <= 0.0:
             return -math.inf
-        out += alpha * math.log(v[i])
-        for j in range(i + 1, len(v)):
-            d = v[j] ** 2 - v[i] ** 2
+        out += alpha * math.log(a)
+        for b in v[i + 1:]:
+            d = b * b - a * a
             if d <= 0.0:
                 return -math.inf
             out += math.log(d)
@@ -255,13 +263,22 @@ class NormalizationConstants:
 
 
 def constants(n: int, nu: float = 0.0, kappa: float = 0.0) -> NormalizationConstants:
-    """Normalization constants by log-gamma accumulation."""
+    """Normalization constants by log-gamma accumulation.
+
+    The arguments are checked on every call, so an invalid call always
+    raises; valid ones are memoized per (n, nu, kappa).
+    """
     if n < 1:
         raise DomainError("N >= 1 required")
     if not nu > -1.0:
         raise BesselIndexOutOfRange(f"nu must be > -1, got {nu}")
     if kappa >= 2.0 * (nu + 1.0):
         raise IntegrableSingularity("kappa >= 2(nu+1)")
+    return _constants(n, nu, kappa)
+
+
+@functools.lru_cache(maxsize=1024)
+def _constants(n: int, nu: float, kappa: float) -> NormalizationConstants:
     i = np.arange(1, n + 1, dtype=float)
     lg = math.lgamma
     log_c1 = 0.5 * n * math.log(2.0 * math.pi) + sum(lg(v) for v in i)
@@ -330,11 +347,19 @@ def _fn_values(t: float, y_pts: np.ndarray, xv: np.ndarray) -> np.ndarray:
     return sign * np.exp(logabs)
 
 
+_SURVIVAL_QUAD_CHUNK = 1 << 15  # configurations per f_N evaluation
+
+
 def _survival_quad(t: float, xv: np.ndarray, m: int) -> float:
     lo = xv[0] - 6.5 * math.sqrt(t)
     hi = xv[-1] + 6.5 * math.sqrt(t)
     pts, w = _ordered_tensor_grid(m, lo, hi, len(xv))
-    return float(np.dot(w, _fn_values(t, pts, xv)))
+    # chunked: the (P, N, N) log-matrices of the whole grid would dominate memory
+    total = 0.0
+    for k in range(0, len(w), _SURVIVAL_QUAD_CHUNK):
+        sl = slice(k, k + _SURVIVAL_QUAD_CHUNK)
+        total += float(np.dot(w[sl], _fn_values(t, pts[sl], xv)))
+    return total
 
 
 _GEOMETRIC_CHECKS = 256

@@ -95,6 +95,41 @@ def test_table_density_pn_n1_is_bm(tmp_path):
         )
 
 
+def test_table_kernel_plot_uses_x_and_value(tmp_path):
+    out = tmp_path / "k.csv"
+    rc = run_cli(["table", "--what", "kernel", "--family", "hermite", "--n", "3",
+                  "--x-min", "-1", "--x-max", "1", "--step", "0.5", "--out", str(out),
+                  "--plot"])
+    assert rc == 0
+    script = (tmp_path / "k.csv.plot.py").read_text()
+    assert "x, y = float(row[1]), float(row[4])" in script
+    assert "plt.xlabel('x')" in script
+    compile(script, "k.csv.plot.py", "exec")
+    # the columns the script reads are x and the kernel value
+    header = out.read_text().split("\n")[1].split(",")
+    assert (header[1], header[4]) == ("x", "value")
+
+
+@pytest.mark.parametrize("fn", ["pN", "pN-nu", "gN"])
+def test_table_density_unsupported_n_fails(tmp_path, capsys, fn):
+    out = tmp_path / "d.csv"
+    rc = run_cli(["table", "--what", "density", "--fn", fn, "--n", "2", "--out", str(out)])
+    assert rc != 0
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert f"--fn {fn}" in err and "--n 2" in err
+
+
+def test_table_density_gn_n1_is_bm(tmp_path):
+    out = tmp_path / "g.csv"
+    rc = run_cli(["table", "--what", "density", "--fn", "gN", "--n", "1", "--t", "0.5",
+                  "--x-min", "-1", "--x-max", "1", "--step", "0.5", "--out", str(out)])
+    assert rc == 0
+    for row in out.read_text().strip().split("\n")[2:]:
+        y, v = map(float, row.split(","))
+        assert v == pytest.approx(math.exp(-y * y) / math.sqrt(math.pi), rel=1e-12)
+
+
 def test_verify_suite_hc(tmp_path, capsys):
     out = tmp_path / "hc.json"
     rc = run_cli(["verify", "--suite", "hc", "--seed", "1", "--out", str(out)])

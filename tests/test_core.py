@@ -10,7 +10,7 @@ from noncollide.core import (
     gaussian,
     validate_chamber,
 )
-from noncollide.errors import ChamberViolation, NonFinite, TimeOrdering
+from noncollide.errors import ChamberViolation, DomainError, NonFinite, TimeOrdering
 
 
 def test_chamber_a_valid():
@@ -53,6 +53,35 @@ def test_chamber_a_accepts_any_sorted_distinct(vals):
     cfg = validate_chamber(sorted(vals), "A")
     # validation is order-checking only: values unmodified
     assert list(cfg.values) == sorted(vals)
+
+
+def test_chamber_input_forms_give_python_floats():
+    forms = ([0.0, 1, 2.5], np.array([0.0, 1.0, 2.5]), (v for v in (0.0, 1.0, 2.5)),
+             [np.float64(0.0), np.int64(1), 2.5])
+    for x in forms:
+        cfg = validate_chamber(x, "A")
+        assert cfg.values == (0.0, 1.0, 2.5)
+        assert isinstance(cfg.values, tuple)
+        assert all(type(v) is float for v in cfg.values)
+
+
+def test_chamber_errors_in_order():
+    for x in ([], np.array([]), iter(())):
+        with pytest.raises(DomainError, match="nonempty"):
+            validate_chamber(x, "A")
+    # non-finite is reported before any ordering or boundary violation
+    for chamber in ("A", "C", "D"):
+        with pytest.raises(NonFinite):
+            validate_chamber([-1.0, -1.0, float("nan")], chamber)
+        with pytest.raises(NonFinite):
+            validate_chamber(np.array([2.0, float("-inf")]), chamber)
+    for x, chamber, index in (([0.5, 0.5], "A", 1), ([0.1, 0.3, 0.3], "C", 2),
+                              ([-0.1, 0.5], "C", 0), ([0.6, -0.5], "D", 1),
+                              ([0.5, 0.5], "D", 1), ([0.1, 0.5, 0.5], "D", 2)):
+        with pytest.raises(ChamberViolation) as exc:
+            validate_chamber(x, chamber)
+        assert exc.value.index == index
+    assert validate_chamber([-0.3], "D").values == (-0.3,)
 
 
 def test_rng_determinism():

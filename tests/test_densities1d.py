@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from noncollide import densities1d as dens
 from noncollide.densities1d import DensityParams
 from noncollide.errors import (
+    BesselIndexOutOfRange,
     DomainError,
     IntegrableSingularity,
     NonPositiveTime,
@@ -158,6 +159,18 @@ def test_bessel_i_scaled_matches_scipy_ive():
 def test_bessel_i_scaled_large_order_past_25():
     # z = 26 is past the fixed switch at 25 but not past nu^2 = 64
     assert dens.bessel_i_scaled(8.0, 26.0) == pytest.approx(0.022642014000642457, rel=1e-12)
+
+
+def test_bessel_i_scaled_order_range_enforced():
+    special = pytest.importorskip("scipy.special")
+    zs = np.array([1e-3, 1.0, 26.0, 399.0, 400.0, 401.0, 650.0])
+    ref = special.ive(20.0, zs)
+    assert np.max(np.abs(dens.bessel_i_scaled(20.0, zs) - ref) / ref) <= 1e-12
+    for nu in (20.5, 26.0, 30.0, -1.0, math.nan):
+        with pytest.raises(BesselIndexOutOfRange):
+            dens.bessel_i_scaled(nu, 676.0)
+    with pytest.raises(BesselIndexOutOfRange):
+        dens.bessel_i(26.0, 1.0)
 
 
 def test_bessel_at_smallest_subnormal():

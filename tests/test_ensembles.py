@@ -106,6 +106,33 @@ def test_eigen_density_exact_identities():
     assert abs(float(np.dot(w, vals)) - 1.0) <= 1e-6
 
 
+def _log_density_closed_form(beta: float, x: np.ndarray, t: float) -> float:
+    """log of |Delta(x/sqrt t)|^beta e^{-|x|^2/2t} t^{-N/2} / C on the ordered
+    chamber, C from Mehta's integral (2 pi)^{N/2} prod Gamma(1 + j beta/2)
+    / Gamma(1 + beta/2) / N!."""
+    n = len(x)
+    y = x / math.sqrt(t)
+    i, j = np.triu_indices(n, 1)
+    log_delta = float(np.sum(np.log(y[j] - y[i])))
+    log_c = 0.5 * n * math.log(2 * math.pi) - math.lgamma(n + 1) + sum(
+        math.lgamma(1 + k * beta / 2) - math.lgamma(1 + beta / 2) for k in range(1, n + 1)
+    )
+    return beta * log_delta - float(np.sum(x * x)) / (2 * t) - 0.5 * n * math.log(t) - log_c
+
+
+def test_eigen_density_exact_matches_mehta_closed_form():
+    rng = np.random.default_rng(20)
+    for tag, beta in (("gue", 2.0), ("goe", 1.0), ("gse", 4.0)):
+        for n in range(2 if tag == "gse" else 1, 7):
+            kind = ens.EnsembleKind(tag, n)
+            for _ in range(25):
+                t = float(rng.uniform(0.05, 5.0))
+                x = np.sort(rng.normal(0.0, math.sqrt(2 * n * t), n))
+                v = ens.eigen_density_exact(kind, validate_chamber(x, "A"), t)
+                ref = math.exp(_log_density_closed_form(beta, x, t))
+                assert v == pytest.approx(ref, rel=1e-12), (tag, n, t, x)
+
+
 def test_gue_unitary_invariance():
     s = RngStream(11, 7)
     n = 3

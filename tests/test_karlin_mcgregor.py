@@ -8,8 +8,10 @@ from noncollide import karlin_mcgregor as km
 from noncollide.core import RngStream, validate_chamber
 from noncollide.densities1d import DensityParams
 from noncollide.errors import (
+    BesselIndexOutOfRange,
     DivisionDegeneracy,
     DomainError,
+    IntegrableSingularity,
     NumericalUnderflow,
     SizeMismatch,
 )
@@ -151,6 +153,41 @@ def test_constants_match_direct_products():
         assert km.constants(n).c1 == pytest.approx(direct, rel=1e-12)
         direct2 = 2 ** (n / 2) * np.prod([math.gamma(i / 2) for i in range(1, n + 1)])
         assert km.constants(n).c2 == pytest.approx(direct2, rel=1e-12)
+
+
+def test_constants_memoized_and_always_validated():
+    assert km.constants(4) is km.constants(4)
+    assert km.constants(3, 0.5, 0.2) is km.constants(3, nu=0.5, kappa=0.2)
+    bad = [((0,), DomainError), ((-2,), DomainError),
+           ((2, -1.0), BesselIndexOutOfRange), ((2, math.nan), BesselIndexOutOfRange),
+           ((2, 0.5, 3.0), IntegrableSingularity)]
+    for args, err in bad:
+        for _ in range(2):  # a repeat must raise too, errors are never cached
+            with pytest.raises(err):
+                km.constants(*args)
+
+
+def test_vandermonde_accepts_lists_arrays_and_ints():
+    x = [-0.7, 0.2, 1.5, 3.0]
+    for form in (x, np.array(x), tuple(x)):
+        assert km.vandermonde(form) == pytest.approx(np.prod(
+            [b - a for i, a in enumerate(x) for b in x[i + 1:]]), rel=1e-15)
+        assert km.log_vandermonde(form) == pytest.approx(
+            math.log(km.vandermonde(form)), rel=1e-14)
+    assert km.vandermonde(np.array([0, 1, 3])) == 6.0
+    assert km.log_vandermonde([1.0, 0.5]) == -math.inf
+    pos = [0.2, 0.5, 1.5]
+    assert km.log_vandermonde_alpha(np.array(pos), 1.5) == pytest.approx(
+        math.log(km.vandermonde_alpha(pos, 1.5)), rel=1e-14)
+    assert km.log_vandermonde_alpha([-0.1, 0.5], 0.0) == -math.inf
+
+
+def test_survival_quad_chunked_matches_single_pass():
+    xv = np.array([-0.4, 0.1, 0.7])
+    pts, w = km._ordered_tensor_grid(40, xv[0] - 6.5, xv[-1] + 6.5, 3)
+    assert len(w) > km._SURVIVAL_QUAD_CHUNK  # the grid spans several chunks
+    whole = float(np.dot(w, km._fn_values(1.0, pts, xv)))
+    assert km._survival_quad(1.0, xv, 40) == pytest.approx(whole, rel=1e-14)
 
 
 def test_g_nt_horizon_boundary():
