@@ -8,6 +8,10 @@ Construction conventions (diagonal variance t throughout):
   construction (GSE self-dual; class C/D anticommute with Sigma_2/Sigma_1).
 * Laguerre/Wishart: (N+nu) x N rectangles with entry parts N(0, t),
   squared up to L*L / W^T W.
+* Every path-capable ensemble has one construction from Gaussian
+  components.  Drawn at one time t they give the static ensemble at
+  variance t; drawn as Brownian motions (bridges) on a time grid they give
+  the matrix-valued process, whose value at t has that same law.
 * beta-tridiagonal and Ginibre are static ensembles (t normalized to 1):
   tridiagonal has N(0,1) diagonal and chi_{(N-k) beta}/sqrt(2) off-diagonal;
   Ginibre entries are N(0,1/2) + i N(0,1/2) (unit-variance complex).
@@ -27,6 +31,7 @@ from .errors import (
     DomainError,
     NonPositiveTime,
     ParamMissing,
+    SizeMismatch,
 )
 from .karlin_mcgregor import constants, log_vandermonde, _logdet_stable
 from .densities1d import log_bm_density
@@ -38,7 +43,9 @@ __all__ = [
     "HarishChandraReport",
     "sample_matrix",
     "sample_path",
+    "sample_path_spectra",
     "sample_spectra",
+    "origin_spectra",
     "eigenvalues",
     "distinct_spectrum",
     "eigen_density_exact",
@@ -113,25 +120,55 @@ class MatrixPath:
 
 
 # ---------------------------------------------------------------------------
-# batched component draws
+# one construction per ensemble, fed by Brownian components on a time grid
 # ---------------------------------------------------------------------------
 
-def _sym_batch(count: int, n: int, t: float, stream: RngStream) -> np.ndarray:
-    """Symmetric matrices: diag N(0,t), off-diag N(0,t/2)."""
-    out = np.zeros((count, n, n))
+class _OnGrid:
+    """Components along a time grid, flattened to (count * m,) + shape with
+    the path index outermost: cumulative Brownian sums, and the bridge
+    stepped conditionally on its previous value (exactly 0 at t = T)."""
+
+    def __init__(self, times: np.ndarray, horizon: float, count: int, stream: RngStream):
+        self.times, self.horizon, self.count, self.stream = times, horizon, count, stream
+        self.dts = np.diff(np.concatenate([[0.0], times]))
+
+    def bm(self, shape: tuple, var: float) -> np.ndarray:
+        z = self.stream.normal((self.count, len(self.times)) + shape)
+        steps = np.sqrt(self.dts * var).reshape((1, -1) + (1,) * len(shape))
+        return np.cumsum(z * steps, axis=1).reshape((-1,) + shape)
+
+    def bridge(self, shape: tuple, var: float) -> np.ndarray:
+        T = self.horizon
+        out = np.zeros((self.count, len(self.times)) + shape)
+        prev = np.zeros((self.count,) + shape)
+        t_prev = 0.0
+        for k, tk in enumerate(self.times):
+            if tk >= T:
+                prev = np.zeros_like(prev)
+            else:
+                shrink = (T - tk) / (T - t_prev)
+                var_k = (tk - t_prev) * (T - tk) / (T - t_prev)
+                z = self.stream.normal((self.count,) + shape)
+                prev = prev * shrink + math.sqrt(var_k * var) * z
+            out[:, k] = prev
+            t_prev = tk
+        return out.reshape((-1,) + shape)
+
+
+def _sym(n: int, diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Symmetric matrices from diagonal and upper-triangle components."""
+    out = np.zeros((len(diag), n, n))
     iu = np.triu_indices(n, 1)
-    out[:, np.arange(n), np.arange(n)] = math.sqrt(t) * stream.normal((count, n))
-    off = math.sqrt(t / 2.0) * stream.normal((count, len(iu[0])))
+    out[:, np.arange(n), np.arange(n)] = diag
     out[:, iu[0], iu[1]] = off
     out[:, iu[1], iu[0]] = off
     return out
 
 
-def _antisym_batch(count: int, n: int, t: float, stream: RngStream) -> np.ndarray:
-    """Antisymmetric matrices: off-diag N(0,t/2), zero diagonal."""
-    out = np.zeros((count, n, n))
+def _antisym(n: int, off: np.ndarray) -> np.ndarray:
+    """Antisymmetric matrices from upper-triangle components."""
+    out = np.zeros((len(off), n, n))
     iu = np.triu_indices(n, 1)
-    off = math.sqrt(t / 2.0) * stream.normal((count, len(iu[0])))
     out[:, iu[0], iu[1]] = off
     out[:, iu[1], iu[0]] = -off
     return out
@@ -142,51 +179,65 @@ def _kron_batch(a: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return np.einsum("cij,ab->ciajb", a.astype(complex), sigma).reshape(c, 2 * n, 2 * n)
 
 
-def _build_batch(kind: EnsembleKind, t: float, count: int, stream: RngStream) -> np.ndarray:
+def _construct(kind: EnsembleKind, src) -> np.ndarray:
+    """(B, dim, dim) realizations of a path-capable ensemble.
+
+    ``src`` supplies the Gaussian components: ``src.bm(shape, var)`` gives
+    Brownian parts of variance var per unit time, ``src.bridge(shape, var)``
+    the GUE-to-GOE bridge's imaginary parts.  A one-time grid [t] gives the
+    static ensemble at variance t.
+    """
     tag, n = kind.tag, kind.n
-    if tag not in _STATIC_TAGS and not t > 0.0:
-        raise NonPositiveTime("t must be positive")
-    if tag == "gue":
-        s = _sym_batch(count, n, t, stream)
-        a = _antisym_batch(count, n, t, stream)
-        return s + 1j * a
+    n_off = n * (n - 1) // 2
+
+    def sym():
+        diag = src.bm((n,), 1.0)
+        return _sym(n, diag, src.bm((n_off,), 0.5))
+
+    def antisym(part=src.bm):
+        return _antisym(n, part((n_off,), 0.5))
+
     if tag == "goe":
-        return _sym_batch(count, n, t, stream)
+        return sym()
+    if tag in ("gue", "gue_to_goe"):
+        s = sym()
+        return s + 1j * antisym(src.bridge if tag == "gue_to_goe" else src.bm)
     if tag == "gse":
-        s0 = _sym_batch(count, n, t, stream)
-        out = _kron_batch(s0, _SIGMA[0])
+        out = _kron_batch(sym(), _SIGMA[0])
         for rho in (1, 2, 3):
-            out += 1j * _kron_batch(_antisym_batch(count, n, t, stream), _SIGMA[rho])
+            out += 1j * _kron_batch(antisym(), _SIGMA[rho])
         return out
     if tag == "class_c":
-        out = 1j * _kron_batch(_antisym_batch(count, n, t, stream), _SIGMA[0])
+        out = 1j * _kron_batch(antisym(), _SIGMA[0])
         for rho in (1, 2, 3):
-            out += _kron_batch(_sym_batch(count, n, t, stream), _SIGMA[rho])
+            out += _kron_batch(sym(), _SIGMA[rho])
         return out
     if tag == "class_d":
-        out = 1j * _kron_batch(_antisym_batch(count, n, t, stream), _SIGMA[0])
-        out += 1j * _kron_batch(_antisym_batch(count, n, t, stream), _SIGMA[1])
-        out += 1j * _kron_batch(_antisym_batch(count, n, t, stream), _SIGMA[2])
-        out += _kron_batch(_sym_batch(count, n, t, stream), _SIGMA[3])
+        out = 1j * _kron_batch(antisym(), _SIGMA[0])
+        for rho in (1, 2):
+            out += 1j * _kron_batch(antisym(), _SIGMA[rho])
+        out += _kron_batch(sym(), _SIGMA[3])
         return out
-    if tag == "laguerre":
-        rows = n + kind.nu
-        l = math.sqrt(t) * (
-            stream.normal((count, rows, n)) + 1j * stream.normal((count, rows, n))
-        )
+    if tag in ("laguerre", "wishart"):
+        shape = (n + kind.nu, n)
+        re = src.bm(shape, 1.0)
+        if tag == "wishart":
+            return np.swapaxes(re, 1, 2) @ re
+        l = re + 1j * src.bm(shape, 1.0)
         return np.conj(np.swapaxes(l, 1, 2)) @ l
-    if tag == "wishart":
-        rows = n + kind.nu
-        w = math.sqrt(t) * stream.normal((count, rows, n))
-        return np.swapaxes(w, 1, 2) @ w
-    if tag == "gue_to_goe":
-        T = kind.horizon
-        if not t <= T:
-            raise NonPositiveTime("bridge sample time must satisfy t <= T")
-        s = _sym_batch(count, n, t, stream)
-        var_im = t * (T - t) / T
-        a = _antisym_batch(count, n, var_im, stream) if var_im > 0.0 else np.zeros_like(s)
-        return s + 1j * a
+    raise ParamMissing(f"no matrix construction for {tag!r}")  # pragma: no cover
+
+
+def _check_times(kind: EnsembleKind, first: float, last: float) -> None:
+    """Sample times must be positive, and at most T for the bridge."""
+    if not first > 0.0:
+        raise NonPositiveTime("sample times must be positive")
+    if kind.tag == "gue_to_goe" and not last <= kind.horizon:
+        raise NonPositiveTime("bridge sample times may not exceed T")
+
+
+def _build_batch(kind: EnsembleKind, t: float, count: int, stream: RngStream) -> np.ndarray:
+    tag, n = kind.tag, kind.n
     if tag == "beta_tridiagonal":
         out = np.zeros((count, n, n))
         out[:, np.arange(n), np.arange(n)] = stream.normal((count, n))
@@ -197,7 +248,33 @@ def _build_batch(kind: EnsembleKind, t: float, count: int, stream: RngStream) ->
         return out
     if tag == "ginibre":
         return stream.complex_normal((count, n, n), scale=math.sqrt(0.5))
-    raise ParamMissing(f"unknown tag {tag!r}")  # pragma: no cover
+    _check_times(kind, t, t)
+    return _construct(kind, _OnGrid(np.array([t]), kind.horizon, count, stream))
+
+
+def _path_batch(kind: EnsembleKind, grid: TimeGrid, count: int, stream: RngStream) -> np.ndarray:
+    """(count, m, dim, dim) independent matrix paths at the m grid times."""
+    if kind.tag in _STATIC_TAGS:
+        raise ParamMissing(f"{kind.tag} is a static ensemble; no path law")
+    if kind.tag == "gue_to_goe" and grid.horizon not in (None, kind.horizon):
+        raise ParamMissing("grid horizon must equal the bridge horizon")
+    times = grid.as_array()
+    _check_times(kind, times[0], times[-1])
+    h = _construct(kind, _OnGrid(times, kind.horizon, count, stream))
+    return h.reshape((count, len(times)) + h.shape[1:])
+
+
+def _distinct(kind: EnsembleKind, lam: np.ndarray) -> np.ndarray:
+    """Ascending spectra (last axis) reduced to the N distinct/positive levels.
+
+    GSE: degenerate pairs averaged; class C/D: positive halves of the
+    +-omega pairs; anything else: unchanged.
+    """
+    if kind.tag == "gse":
+        return 0.5 * (lam[..., 0::2] + lam[..., 1::2])
+    if kind.tag in ("class_c", "class_d"):
+        return lam[..., kind.n:]
+    return lam
 
 
 def sample_matrix(kind: EnsembleKind, t: float, stream: RngStream) -> MatrixSample:
@@ -218,17 +295,8 @@ def eigenvalues(m: MatrixSample) -> np.ndarray:
 
 
 def distinct_spectrum(m: MatrixSample) -> np.ndarray:
-    """Spectrum reduced to the N distinct/positive levels of doubled kinds.
-
-    GSE: degenerate pairs averaged; class C/D: positive halves of the
-    +-omega pairs; anything else: the plain ascending spectrum.
-    """
-    lam = eigenvalues(m)
-    if m.kind.tag == "gse":
-        return 0.5 * (lam[0::2] + lam[1::2])
-    if m.kind.tag in ("class_c", "class_d"):
-        return lam[m.kind.n:]
-    return lam
+    """Spectrum reduced to the N distinct/positive levels of doubled kinds."""
+    return _distinct(m.kind, eigenvalues(m))
 
 
 def sample_spectra(
@@ -241,135 +309,66 @@ def sample_spectra(
     done = 0
     while done < count:
         c = min(chunk, count - done)
-        h = _build_batch(kind, t_eff, c, stream)
-        lam = np.linalg.eigvalsh(h)
-        if distinct:
-            if kind.tag == "gse":
-                lam = 0.5 * (lam[:, 0::2] + lam[:, 1::2])
-            elif kind.tag in ("class_c", "class_d"):
-                lam = lam[:, kind.n:]
-        out.append(lam)
+        lam = np.linalg.eigvalsh(_build_batch(kind, t_eff, c, stream))
+        out.append(_distinct(kind, lam) if distinct else lam)
         done += c
     return np.concatenate(out, axis=0)
+
+
+def origin_spectra(
+    system: str, param: float, n: int, t: float, count: int, stream: RngStream
+) -> np.ndarray:
+    """(count, n) exact positions at time t of a process started at the origin.
+
+    ``system`` "dyson" (param beta): GOE/GUE/GSE levels at beta = 1/2/4,
+    the beta-tridiagonal model otherwise.  ``system`` "bessel" (param nu):
+    square roots of Laguerre eigenvalues at integer nu >= 0, the positive
+    class C / class D levels at nu = 1/2 / -1/2.  N = 1 draws the
+    one-particle law directly.  Any other nu raises DomainError.
+    """
+    if system == "dyson":
+        if n == 1:
+            return math.sqrt(t) * stream.normal((count, 1))
+        tag = {1.0: "goe", 2.0: "gue", 4.0: "gse"}.get(param)
+        if tag is None:
+            kind = EnsembleKind("beta_tridiagonal", n, beta=param)
+            return sample_spectra(kind, 1.0, count, stream) * math.sqrt(t)
+        return sample_spectra(EnsembleKind(tag, n), t, count, stream, distinct=True)
+    if system != "bessel":
+        raise DomainError(f"unknown system {system!r}")
+    if n == 1:
+        # squared Bessel from 0 at time t is 2t * Gamma(nu + 1)
+        return np.sqrt(2.0 * t * stream.gamma(param + 1.0, size=(count, 1)))
+    if param == int(param) and param >= 0:
+        kind = EnsembleKind("laguerre", n, nu=int(param))
+        return np.sqrt(sample_spectra(kind, t, count, stream))
+    tag = {0.5: "class_c", -0.5: "class_d"}.get(param)
+    if tag is None:
+        raise DomainError(
+            f"zero start not realizable for nu={param}: no exact ensemble bootstrap"
+        )
+    return sample_spectra(EnsembleKind(tag, n), t, count, stream, distinct=True)
 
 
 # ---------------------------------------------------------------------------
 # matrix-valued paths
 # ---------------------------------------------------------------------------
 
-def _bm_steps(count: int, shape: tuple, dts: np.ndarray, stream: RngStream) -> np.ndarray:
-    """Cumulative BM values at len(dts) grid times for iid components."""
-    z = stream.normal((count, len(dts)) + shape)
-    return np.cumsum(z * np.sqrt(dts).reshape((1, -1) + (1,) * len(shape)), axis=1)
-
-
-def _bridge_steps(
-    count: int, shape: tuple, times: np.ndarray, T: float, stream: RngStream
-) -> np.ndarray:
-    """Brownian-bridge values at the grid times, exactly 0 at t = T."""
-    out = np.zeros((count, len(times)) + shape)
-    prev = np.zeros((count,) + shape)
-    t_prev = 0.0
-    for k, tk in enumerate(times):
-        if tk >= T:
-            prev = np.zeros_like(prev)
-        else:
-            shrink = (T - tk) / (T - t_prev)
-            var = (tk - t_prev) * (T - tk) / (T - t_prev)
-            prev = prev * shrink + math.sqrt(var) * stream.normal((count,) + shape)
-        out[:, k] = prev
-        t_prev = tk
-    return out
-
-
 def sample_path(kind: EnsembleKind, grid: TimeGrid, stream: RngStream) -> MatrixPath:
     """Matrix path with entrywise Brownian (or bridge) increments at grid times."""
-    if kind.tag in _STATIC_TAGS:
-        raise ParamMissing(f"{kind.tag} is a static ensemble; no path law")
-    times = grid.as_array()
-    if times[0] <= 0.0:
-        raise NonPositiveTime("grid times must be positive")
-    dts = np.diff(np.concatenate([[0.0], times]))
-    n = kind.n
-    m = len(times)
-
-    def assemble_sym(vals_diag, vals_off):
-        iu = np.triu_indices(n, 1)
-        out = np.zeros((m, n, n))
-        out[:, np.arange(n), np.arange(n)] = vals_diag[0]
-        out[:, iu[0], iu[1]] = vals_off[0] / math.sqrt(2.0)
-        out[:, iu[1], iu[0]] = vals_off[0] / math.sqrt(2.0)
-        return out
-
-    def assemble_antisym(vals_off):
-        iu = np.triu_indices(n, 1)
-        out = np.zeros((m, n, n))
-        out[:, iu[0], iu[1]] = vals_off[0] / math.sqrt(2.0)
-        out[:, iu[1], iu[0]] = -vals_off[0] / math.sqrt(2.0)
-        return out
-
-    n_off = n * (n - 1) // 2
-    tag = kind.tag
-    if tag in ("goe", "gue", "gse", "class_c", "class_d"):
-        def sym_path():
-            return assemble_sym(
-                _bm_steps(1, (n,), dts, stream), _bm_steps(1, (n_off,), dts, stream)
-            )
-
-        def antisym_path():
-            return assemble_antisym(_bm_steps(1, (n_off,), dts, stream))
-
-        if tag == "goe":
-            mats = sym_path().astype(complex)
-        elif tag == "gue":
-            mats = sym_path() + 1j * antisym_path()
-        elif tag == "gse":
-            mats = np.array([np.kron(s, _SIGMA[0]) for s in sym_path()], dtype=complex)
-            for rho in (1, 2, 3):
-                ap = antisym_path()
-                mats += 1j * np.array([np.kron(a, _SIGMA[rho]) for a in ap])
-        elif tag == "class_c":
-            mats = 1j * np.array([np.kron(a, _SIGMA[0]) for a in antisym_path()])
-            for rho in (1, 2, 3):
-                sp = sym_path()
-                mats += np.array([np.kron(s, _SIGMA[rho]) for s in sp], dtype=complex)
-        else:  # class_d
-            mats = 1j * np.array([np.kron(a, _SIGMA[0]) for a in antisym_path()])
-            mats += 1j * np.array([np.kron(a, _SIGMA[1]) for a in antisym_path()])
-            mats += 1j * np.array([np.kron(a, _SIGMA[2]) for a in antisym_path()])
-            mats += np.array([np.kron(s, _SIGMA[3]) for s in sym_path()], dtype=complex)
-    elif tag in ("laguerre", "wishart"):
-        rows = n + kind.nu
-        re = _bm_steps(1, (rows, n), dts, stream)[0]
-        if tag == "laguerre":
-            im = _bm_steps(1, (rows, n), dts, stream)[0]
-            l = re + 1j * im
-            mats = np.conj(np.swapaxes(l, 1, 2)) @ l
-        else:
-            mats = np.swapaxes(re, 1, 2) @ re
-    elif tag == "gue_to_goe":
-        T = kind.horizon
-        if grid.horizon is not None and grid.horizon != T:
-            raise ParamMissing("grid horizon must equal the bridge horizon")
-        if times[-1] > T:
-            raise NonPositiveTime("bridge grid may not exceed T")
-        sym = assemble_sym(
-            _bm_steps(1, (n,), dts, stream), _bm_steps(1, (n_off,), dts, stream)
-        )
-        iu = np.triu_indices(n, 1)
-        br = _bridge_steps(1, (n_off,), times, T, stream)[0] / math.sqrt(2.0)
-        imag = np.zeros((m, n, n))
-        imag[:, iu[0], iu[1]] = br
-        imag[:, iu[1], iu[0]] = -br
-        mats = sym + 1j * imag
-    else:  # pragma: no cover
-        raise ParamMissing(f"no path law for {tag!r}")
-
+    mats = _path_batch(kind, grid, 1, stream)[0]
     samples = tuple(
         MatrixSample(kind=kind, time=float(tk), entries=mats[k])
-        for k, tk in enumerate(times)
+        for k, tk in enumerate(grid.times)
     )
     return MatrixPath(kind=kind, grid=grid, samples=samples)
+
+
+def sample_path_spectra(
+    kind: EnsembleKind, grid: TimeGrid, count: int, stream: RngStream
+) -> np.ndarray:
+    """(count, m, N) distinct spectra of count independent matrix paths."""
+    return _distinct(kind, np.linalg.eigvalsh(_path_batch(kind, grid, count, stream)))
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +390,10 @@ def eigen_density_exact(kind: EnsembleKind, x: OrderedConfiguration, t: float) -
         raise DomainError("chamber A required")
     if not t > 0.0:
         raise NonPositiveTime("t must be positive")
-    # Python floats throughout: per-call numpy arrays would cost more than the arithmetic
     n = x.n
+    if n != kind.n:
+        raise SizeMismatch(f"{n} points for an N = {kind.n} ensemble")
+    # Python floats throughout: per-call numpy arrays would cost more than the arithmetic
     rt = math.sqrt(t)
     xs = [v / rt for v in x.values]
     log_h = log_vandermonde(xs)

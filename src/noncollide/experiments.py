@@ -390,13 +390,16 @@ def run_equivalence_check(
 ) -> ExperimentReport:
     """Cross-route marginal comparison among {sde, matrix, kernel-analytic}."""
     t0 = time.monotonic()
-    routes = {route_a, route_b}
+    routes = (route_a, route_b)
     if route_a == route_b:
         raise RouteInapplicable("routes must differ")
     n = int(params["n"])
     t = float(params.get("t", 1.0))
     n_samples = int(params.get("n_samples", 10_000))
     system = params.get("system", "dyson")
+    param = float(params.get("beta", 2.0) if system == "dyson" else params.get("nu", 0.0))
+    if "kernel" in routes and system == "dyson" and param != 2.0:
+        raise RouteInapplicable("the Hermite kernel route is the beta = 2 law")
     rep = ExperimentReport(
         experiment_id=f"equiv-{route_a}-{route_b}-{system}-n{n}",
         parameters={**params, "n": n, "t": t, "n_samples": n_samples},
@@ -406,53 +409,34 @@ def run_equivalence_check(
     grid = TimeGrid.of([t])
 
     def matrix_cloud():
-        if system == "dyson":
-            beta = float(params.get("beta", 2.0))
-            tag = {1.0: "goe", 2.0: "gue", 4.0: "gse"}[beta]
-            return ens.sample_spectra(
-                ens.EnsembleKind(tag, n), t, max(n_samples * 8, 50_000), stream,
-                distinct=True,
-            ).ravel()
-        nu = params.get("nu", 0.0)
-        if nu == int(nu) and nu >= 0:
-            lam = ens.sample_spectra(
-                ens.EnsembleKind("laguerre", n, nu=int(nu)), t,
-                max(n_samples * 8, 50_000), stream,
+        try:
+            lam = ens.origin_spectra(
+                system, param, n, t, max(n_samples * 8, 50_000), stream
             )
-            return np.sqrt(lam).ravel()
-        if nu == 0.5:
-            return ens.sample_spectra(
-                ens.EnsembleKind("class_c", n), t, max(n_samples * 8, 50_000),
-                stream, distinct=True,
-            ).ravel()
-        raise RouteInapplicable(f"no matrix route for nu={nu}")
+        except DomainError as exc:
+            raise RouteInapplicable(f"no matrix route for {system} at {param}") from exc
+        return lam.ravel()
 
     def sde_cloud():
         dt_max = float(params.get("dt_max", 1e-3))
-        if system == "dyson":
-            beta = float(params.get("beta", 2.0))
-            return sdemod.dyson_cloud(beta, [0.0] * n, grid, stream, dt_max, n_samples)[
-                :, 0, :
-            ].ravel()
-        nu = float(params.get("nu", 0.0))
-        return sdemod.bessel_cloud(nu, [0.0] * n, grid, stream, dt_max, n_samples)[
-            :, 0, :
-        ].ravel()
+        cloud = sdemod.dyson_cloud if system == "dyson" else sdemod.bessel_cloud
+        return cloud(param, [0.0] * n, grid, stream, dt_max, n_samples)[:, 0, :].ravel()
 
+    # caller order fixes which cloud draws from the shared stream first
     clouds = {}
     for r in routes:
         if r in ("sde", "matrix"):
             clouds[r] = matrix_cloud() if r == "matrix" else sde_cloud()
 
     if "kernel" in routes:
-        other = (routes - {"kernel"}).pop()
+        other = route_b if route_a == "kernel" else route_a
         sample = clouds[other]
         if system == "dyson":
             kern = ker.hermite_kernel(n)
             span = 2.6 * math.sqrt(2.0 * n * t)
             lo = -span
         else:
-            kern = ker.laguerre_kernel(n, float(params.get("nu", 0.0)))
+            kern = ker.laguerre_kernel(n, param)
             span = 2.2 * math.sqrt(2.0 * n * t) + 2.0
             lo = 0.0
         zs = np.linspace(lo, span, 1500)
@@ -493,8 +477,9 @@ def run_bridge_check(
         streams=[stream.stream_id],
     )
     grid = TimeGrid.of(sorted(times), horizon=T)
-    # vectorized path sampling: bridge entries are cheap to draw in batch
-    spectra = _bridge_spectra_batch(n, T, grid.as_array(), n_samples, stream)
+    spectra = ens.sample_path_spectra(
+        ens.EnsembleKind("gue_to_goe", n, horizon=T), grid, n_samples, stream
+    )
 
     for k, tt in enumerate(grid.times):
         lam = spectra[:, k, :]
@@ -537,40 +522,6 @@ def run_bridge_check(
                 critical_value=chi.critical_1pct,
             )
     return _pin(rep, t0)
-
-
-def _bridge_spectra_batch(
-    n: int, T: float, times: np.ndarray, count: int, stream: RngStream
-) -> np.ndarray:
-    """(count, n_times, n) bridge spectra sampled with vectorized entries."""
-    n_off = n * (n - 1) // 2
-    dts = np.diff(np.concatenate([[0.0], times]))
-    diag = np.cumsum(
-        stream.normal((count, len(times), n)) * np.sqrt(dts)[None, :, None], axis=1
-    )
-    off = np.cumsum(
-        stream.normal((count, len(times), n_off)) * np.sqrt(dts)[None, :, None], axis=1
-    ) / math.sqrt(2.0)
-    # bridge imaginary parts stepped conditionally, exactly 0 at T
-    br = np.zeros((count, len(times), n_off))
-    prev = np.zeros((count, n_off))
-    t_prev = 0.0
-    for k, tk in enumerate(times):
-        if tk >= T:
-            prev = np.zeros_like(prev)
-        else:
-            shrink = (T - tk) / (T - t_prev)
-            var = (tk - t_prev) * (T - tk) / (T - t_prev)
-            prev = prev * shrink + math.sqrt(var) * stream.normal((count, n_off))
-        br[:, k, :] = prev
-        t_prev = tk
-    br /= math.sqrt(2.0)
-    iu = np.triu_indices(n, 1)
-    h = np.zeros((count, len(times), n, n), dtype=complex)
-    h[:, :, np.arange(n), np.arange(n)] = diag
-    h[:, :, iu[0], iu[1]] = off + 1j * br
-    h[:, :, iu[1], iu[0]] = off - 1j * br
-    return np.linalg.eigvalsh(h.reshape(-1, n, n)).reshape(count, len(times), n)
 
 
 def run_hc_check(

@@ -268,8 +268,8 @@ def constants(n: int, nu: float = 0.0, kappa: float = 0.0) -> NormalizationConst
     The arguments are checked on every call, so an invalid call always
     raises; valid ones are memoized per (n, nu, kappa).
     """
-    if n < 1:
-        raise DomainError("N >= 1 required")
+    if not n >= 1 or n % 1 != 0:
+        raise DomainError(f"N must be an integer >= 1, got {n}")
     if not nu > -1.0:
         raise BesselIndexOutOfRange(f"nu must be > -1, got {nu}")
     if kappa >= 2.0 * (nu + 1.0):

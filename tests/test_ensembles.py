@@ -7,7 +7,13 @@ from noncollide import densities1d as dens
 from noncollide import ensembles as ens
 from noncollide import karlin_mcgregor as km
 from noncollide.core import Chamber, RngStream, TimeGrid, validate_chamber
-from noncollide.errors import DegenerateSpectrum, DomainError, ParamMissing
+from noncollide.errors import (
+    DegenerateSpectrum,
+    DomainError,
+    NonPositiveTime,
+    ParamMissing,
+    SizeMismatch,
+)
 from oracles import two_sample_ks
 
 A = lambda *v: validate_chamber(list(v), "A")
@@ -291,3 +297,117 @@ def test_static_kinds_have_no_path_law():
     s = RngStream(11, 23)
     with pytest.raises(ParamMissing):
         ens.sample_path(ens.EnsembleKind("ginibre", 3), TimeGrid.of([1.0]), s)
+
+
+PATH_KINDS = (
+    ens.EnsembleKind("gue", 3),
+    ens.EnsembleKind("goe", 3),
+    ens.EnsembleKind("gse", 2),
+    ens.EnsembleKind("class_c", 2),
+    ens.EnsembleKind("class_d", 3),
+    ens.EnsembleKind("laguerre", 2, nu=1),
+    ens.EnsembleKind("wishart", 3, nu=2),
+    ens.EnsembleKind("gue_to_goe", 3, horizon=1.5),
+)
+
+
+def _second_moment(kind: ens.EnsembleKind, t: float) -> float:
+    """Exact E Tr H(t)^2, summed entrywise from the component variances."""
+    n, n_off = kind.n, kind.n * (kind.n - 1) // 2
+    if kind.tag in ("gue", "goe", "gue_to_goe"):
+        if kind.tag == "gue_to_goe":
+            imag = t * (kind.horizon - t) / kind.horizon
+        else:
+            imag = t if kind.tag == "gue" else 0.0
+        return n * t + n_off * (t + imag)
+    if kind.tag in ("gse", "class_d"):
+        return 2 * n * (2 * n - 1) * t
+    if kind.tag == "class_c":
+        return 2 * n * (2 * n + 1) * t
+    rows = n + kind.nu
+    if kind.tag == "laguerre":
+        return 4.0 * t * t * rows * n * (n + rows)
+    return t * t * rows * n * (n + rows + 1)  # wishart
+
+
+@pytest.mark.parametrize("kind", PATH_KINDS, ids=lambda k: k.tag)
+def test_one_time_path_equals_static_sample(kind):
+    for t in (0.3, 1.5):
+        path = ens.sample_path(kind, TimeGrid.of([t]), RngStream(12, 1))
+        m = ens.sample_matrix(kind, t, RngStream(12, 1))
+        assert path.samples[0].time == m.time == t
+        assert np.array_equal(path.samples[0].entries, m.entries)
+
+
+@pytest.mark.parametrize("kind", PATH_KINDS, ids=lambda k: k.tag)
+def test_path_spectra_match_path_eigenvalues(kind):
+    grid = TimeGrid.of([0.2, 0.9, 1.5])
+    path = ens.sample_path(kind, grid, RngStream(12, 2))
+    spectra = ens.sample_path_spectra(kind, grid, 1, RngStream(12, 2))
+    assert spectra.shape == (1, 3, kind.n)
+    for k, samp in enumerate(path.samples):
+        assert np.array_equal(spectra[0, k], ens.distinct_spectrum(samp))
+
+
+@pytest.mark.parametrize("kind", PATH_KINDS, ids=lambda k: k.tag)
+def test_path_second_moment_exact(kind):
+    grid = TimeGrid.of([0.2, 0.9, 1.5])
+    count = 4000
+    h = ens._path_batch(kind, grid, count, RngStream(12, 3))
+    assert h.shape == (count, 3, kind.dim, kind.dim)
+    tr2 = np.sum(np.abs(h) ** 2, axis=(2, 3))  # Tr H^2 of Hermitian H
+    for k, t in enumerate(grid.times):
+        exact = _second_moment(kind, t)
+        z = (tr2[:, k].mean() - exact) / (tr2[:, k].std() / math.sqrt(count))
+        assert abs(z) <= 4.0, (kind.tag, t, z)
+
+
+def test_path_checks_keep_their_errors():
+    s = RngStream(12, 4)
+    bridge = ens.EnsembleKind("gue_to_goe", 2, horizon=1.0)
+    with pytest.raises(ParamMissing):
+        ens.sample_path_spectra(ens.EnsembleKind("beta_tridiagonal", 2, beta=2.0),
+                                TimeGrid.of([1.0]), 5, s)
+    with pytest.raises(ParamMissing):
+        ens.sample_path_spectra(bridge, TimeGrid.of([0.5], horizon=2.0), 5, s)
+    with pytest.raises(NonPositiveTime):
+        ens.sample_path_spectra(bridge, TimeGrid.of([0.5, 1.5]), 5, s)
+    with pytest.raises(NonPositiveTime):
+        ens.sample_path(ens.EnsembleKind("gue", 2), TimeGrid.of([0.0, 1.0]), s)
+    with pytest.raises(NonPositiveTime):
+        ens.sample_matrix(bridge, 1.5, s)
+
+
+def test_origin_spectra_tridiagonal_and_class_d_routes():
+    n, t, count = 3, 0.7, 20_000
+    lam = ens.origin_spectra("dyson", 3.0, n, t, count, RngStream(12, 5))
+    tri = ens.sample_spectra(ens.EnsembleKind("beta_tridiagonal", n, beta=3.0), 1.0, count,
+                             RngStream(12, 5))
+    assert np.array_equal(lam, tri * math.sqrt(t))
+    pos = ens.origin_spectra("bessel", -0.5, n, t, count, RngStream(12, 6))
+    cd = ens.sample_spectra(ens.EnsembleKind("class_d", n), t, count, RngStream(12, 6),
+                            distinct=True)
+    assert np.array_equal(pos, cd)
+    assert pos.min() > 0.0
+    # E sum x_i^2(t) = (N + beta N (N - 1)/2) t, and 2N(N + nu) t for the Bessel system
+    for x, exact in ((lam, (n + 3.0 * n * (n - 1) / 2.0) * t), (pos, 2 * n * (n - 0.5) * t)):
+        sq = np.sum(x * x, axis=1)
+        z = (sq.mean() - exact) / (sq.std() / math.sqrt(count))
+        assert abs(z) <= 4.0, z
+
+
+@pytest.mark.parametrize("nu", [-0.5, 0.3, 2.0])
+def test_origin_spectra_bessel_one_particle(nu):
+    # any nu > -1: the squared Bessel process from 0 at time t is 2t Gamma(nu + 1)
+    t, count = 0.7, 20_000
+    x = ens.origin_spectra("bessel", nu, 1, t, count, RngStream(12, 7))
+    g = RngStream(12, 7).gamma(nu + 1.0, size=(count, 1))
+    assert np.array_equal(x, np.sqrt(2.0 * t * g))
+    sq = x[:, 0] ** 2
+    z = (sq.mean() - 2.0 * t * (nu + 1.0)) / (sq.std() / math.sqrt(count))
+    assert abs(z) <= 4.0, z
+
+
+def test_eigen_density_exact_size_mismatch():
+    with pytest.raises(SizeMismatch):
+        ens.eigen_density_exact(ens.EnsembleKind("gue", 3), A(-0.5, 0.5), 1.0)

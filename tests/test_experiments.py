@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,6 +97,33 @@ def test_run_equivalence_matrix_kernel():
         RngStream(9, 1),
     )
     assert rep.passed
+
+
+def test_run_equivalence_kernel_route_is_beta2_only():
+    for beta in (1.0, 4.0):
+        with pytest.raises(RouteInapplicable):
+            ex.run_equivalence_check(
+                "matrix", "kernel", {"system": "dyson", "beta": beta, "n": 2},
+                RngStream(0, 0),
+            )
+
+
+def test_run_equivalence_independent_of_hash_seed():
+    code = (
+        "from noncollide import experiments as ex\n"
+        "from noncollide.core import RngStream\n"
+        "print(ex.run_equivalence_check('sde', 'matrix', {'system': 'dyson', 'beta': 2.0,"
+        " 'n': 2, 't': 0.2, 'n_samples': 300, 'dt_max': 1e-2}, RngStream(3, 9)).to_json())\n"
+    )
+    src = str(Path(ex.__file__).resolve().parents[1])
+    outs = []
+    for hash_seed in ("1", "3"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        res = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True)
+        outs.append(res.stdout)
+    assert outs[0] == outs[1]
 
 
 def test_run_marginal_requires_known_kind():

@@ -158,7 +158,8 @@ def test_constants_match_direct_products():
 def test_constants_memoized_and_always_validated():
     assert km.constants(4) is km.constants(4)
     assert km.constants(3, 0.5, 0.2) is km.constants(3, nu=0.5, kappa=0.2)
-    bad = [((0,), DomainError), ((-2,), DomainError),
+    bad = [((0,), DomainError), ((-2,), DomainError), ((2.5,), DomainError),
+           ((math.nan,), DomainError), ((math.inf,), DomainError),
            ((2, -1.0), BesselIndexOutOfRange), ((2, math.nan), BesselIndexOutOfRange),
            ((2, 0.5, 3.0), IntegrableSingularity)]
     for args, err in bad:
