@@ -104,10 +104,6 @@ class SizeLimit(NoncollideError):
     """Correlation-function point budget exceeded."""
 
 
-class TailNotConverging(NoncollideError):
-    """Kernel tail sum has a non-contracting ratio (should be impossible)."""
-
-
 class AccuracyLossWarning(UserWarning):
     """Deep-oscillation regime: fewer digits delivered than the contract.
 

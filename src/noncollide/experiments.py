@@ -388,9 +388,12 @@ def run_equivalence_check(
     params: dict,
     stream: RngStream,
 ) -> ExperimentReport:
-    """Cross-route marginal comparison among {sde, matrix, kernel-analytic}."""
+    """Cross-route marginal comparison among the routes sde, matrix and kernel."""
     t0 = time.monotonic()
     routes = (route_a, route_b)
+    unknown = [r for r in routes if r not in ("sde", "matrix", "kernel")]
+    if unknown:
+        raise RouteInapplicable(f"unknown route {unknown[0]!r}: use sde, matrix or kernel")
     if route_a == route_b:
         raise RouteInapplicable("routes must differ")
     n = int(params["n"])

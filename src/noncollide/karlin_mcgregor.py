@@ -152,19 +152,33 @@ def km_density(
     log_g: Optional[Callable] = None,
 ) -> float:
     """det_{ij} g(s, x_i; t, y_j), the Karlin-McGregor transition density."""
-    sign, logabs = km_log_density(g, s, x, t, y, log_g)
+    return _signed_exp(*km_log_density(g, s, x, t, y, log_g))
+
+
+def _signed_exp(sign: float, logabs: float) -> float:
+    """sign * exp(logabs), raising where a nonzero value leaves the normal range."""
     if sign != 0.0 and logabs < _LOG_MIN_NORMAL:
         raise NumericalUnderflow(logabs, sign)
     return float(sign * math.exp(logabs)) if sign != 0.0 else 0.0
 
 
-def f_n(t: float, y: OrderedConfiguration, x: OrderedConfiguration) -> float:
-    """Absorbing density of N Brownian motions in the type-A chamber."""
-    return km_density(brownian_g, 0.0, x, t, y, log_g=brownian_log_g)
+def _fn_log(t: float, y_pts: np.ndarray, xv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sign, log|f_N(t, y|x)|) over stacked configurations y_pts (P, N)."""
+    return _logdet_stable(log_bm_density(t, y_pts[:, None, :], xv[None, :, None]))
 
 
 def f_n_log(t: float, y: OrderedConfiguration, x: OrderedConfiguration) -> tuple[float, float]:
-    return km_log_density(brownian_g, 0.0, x, t, y, log_g=brownian_log_g)
+    """(sign, log|f_N|) of the absorbing density; :func:`_fn_log` at P = 1."""
+    _check_pair(x, y)
+    if not t > 0.0:
+        raise TimeOrdering("need s < t")
+    sign, logabs = _fn_log(t, y.as_array()[None, :], x.as_array())
+    return float(sign[0]), float(logabs[0])
+
+
+def f_n(t: float, y: OrderedConfiguration, x: OrderedConfiguration) -> float:
+    """Absorbing density of N Brownian motions in the type-A chamber."""
+    return _signed_exp(*f_n_log(t, y, x))
 
 
 # ---------------------------------------------------------------------------
@@ -340,13 +354,6 @@ def _ordered_tensor_grid(m: int, lo: float, hi: float, n: int, first_power: floa
     return pts, weight.ravel()
 
 
-def _fn_values(t: float, y_pts: np.ndarray, xv: np.ndarray) -> np.ndarray:
-    """Vectorized f_N(t, y|x) over stacked configurations y_pts (P, N)."""
-    a = log_bm_density(t, y_pts[:, None, :], xv[None, :, None])
-    sign, logabs = _logdet_stable(a)
-    return sign * np.exp(logabs)
-
-
 _SURVIVAL_QUAD_CHUNK = 1 << 15  # configurations per f_N evaluation
 
 
@@ -358,7 +365,8 @@ def _survival_quad(t: float, xv: np.ndarray, m: int) -> float:
     total = 0.0
     for k in range(0, len(w), _SURVIVAL_QUAD_CHUNK):
         sl = slice(k, k + _SURVIVAL_QUAD_CHUNK)
-        total += float(np.dot(w[sl], _fn_values(t, pts[sl], xv)))
+        sign, logabs = _fn_log(t, pts[sl], xv)
+        total += float(np.dot(w[sl], sign * np.exp(logabs)))
     return total
 
 
@@ -548,6 +556,25 @@ def _check_positive_config(x: OrderedConfiguration, nu: float):
             raise DomainError("only the nonnegative branch is implemented")
 
 
+def _fn_nu_log(
+    nu: float, t: float, y_pts: np.ndarray, xv: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(sign, log|f_N^(nu)(t, y|x)|) over stacked configurations y_pts (P, N); entries
+    log(e^{-z} I_nu(z)) - (x_i - y_j)^2 / 2t, z = x_i y_j / t: no x^2/2t terms cancel."""
+    xc, yr = xv[None, :, None], y_pts[:, None, :]
+    z = xc * yr / t
+    with np.errstate(divide="ignore"):
+        a = np.log(bessel_i_scaled(nu, z.reshape(-1))).reshape(z.shape)
+    sign, logdet = _logdet_stable(a - (xc - yr) ** 2 / (2.0 * t))
+    with np.errstate(divide="ignore"):
+        pref = (
+            -len(xv) * math.log(t)
+            + np.sum((nu + 1.0) * np.log(y_pts), axis=1)
+            - float(np.sum(nu * np.log(xv)))
+        )
+    return sign, logdet + pref
+
+
 def f_n_nu_log(
     nu: float, t: float, y: OrderedConfiguration, x: OrderedConfiguration
 ) -> tuple[float, float]:
@@ -563,41 +590,12 @@ def f_n_nu_log(
         raise DomainError("start coordinates must be strictly positive")
     if yv[0] == 0.0:
         return 0.0, -math.inf
-    z = np.outer(xv, yv) / t
-    with np.errstate(divide="ignore"):
-        a = np.log(bessel_i_scaled(nu, z)) + z
-    sign, logdet = _logdet_stable(a)
-    logv = (
-        -len(xv) * math.log(t)
-        + float(np.sum((nu + 1.0) * np.log(yv) - nu * np.log(xv)))
-        - float(np.dot(xv, xv) + np.dot(yv, yv)) / (2.0 * t)
-        + logdet
-    )
-    return float(sign), float(logv)
+    sign, logv = _fn_nu_log(nu, t, yv[None, :], xv)
+    return float(sign[0]), float(logv[0])
 
 
 def f_n_nu(nu: float, t: float, y: OrderedConfiguration, x: OrderedConfiguration) -> float:
-    sign, logv = f_n_nu_log(nu, t, y, x)
-    if sign != 0.0 and logv < _LOG_MIN_NORMAL:
-        raise NumericalUnderflow(logv, sign)
-    return float(sign * math.exp(logv)) if sign != 0.0 else 0.0
-
-
-def _fn_nu_values(nu: float, t: float, y_pts: np.ndarray, xv: np.ndarray) -> np.ndarray:
-    """Vectorized f_N^(nu)(t, y|x) over stacked configurations (P, N)."""
-    z = xv[None, :, None] * y_pts[:, None, :] / t
-    flat = z.reshape(-1)
-    with np.errstate(divide="ignore"):
-        a = np.log(bessel_i_scaled(nu, flat)).reshape(z.shape) + z
-    sign, logdet = _logdet_stable(a)
-    with np.errstate(divide="ignore"):
-        pref = (
-            -len(xv) * math.log(t)
-            + np.sum((nu + 1.0) * np.log(y_pts), axis=1)
-            - float(np.sum(nu * np.log(xv)))
-            - (float(np.dot(xv, xv)) + np.sum(y_pts**2, axis=1)) / (2.0 * t)
-        )
-    return sign * np.exp(logdet + pref)
+    return _signed_exp(*f_n_nu_log(nu, t, y, x))
 
 
 def nn_tilde(
@@ -630,7 +628,8 @@ def nn_tilde(
 
         def quad(m):
             pts, w = _ordered_tensor_grid(m, 0.0, hi, x.n, first_power=power)
-            vals = _fn_nu_values(nu, t, pts, xv) * np.prod(pts ** (-kappa), axis=1)
+            sign, logv = _fn_nu_log(nu, t, pts, xv)
+            vals = sign * np.exp(logv) * np.prod(pts ** (-kappa), axis=1)
             return float(np.dot(w, vals))
 
         m = 40 if x.n == 3 else 64

@@ -7,6 +7,12 @@ region of Ai) so the kernel module stays dependency-free and bit-stable.
 Orthonormal Hermite/Laguerre sequences run a scaled two-term recurrence
 with a per-column log offset, which keeps the deep-tail values correct
 far beyond the naive underflow point of the seed term.
+
+The extended Hermite and Laguerre kernels have one batched construction
+per family, (s, xs, t, ys) -> (len xs, len ys): the finite head sum of
+the eigenfunction expansion, minus, for s > t, the whole series in closed
+form, a gauge factor times the one-particle transition density
+(Eynard-Mehta).  Scalar evaluations and equal-time Grams both use it.
 """
 
 from __future__ import annotations
@@ -19,12 +25,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._quad import decaying_quad, fixed_quad, gl_nodes
-from .errors import (
-    AccuracyLossWarning,
-    DomainError,
-    SizeLimit,
-    TailNotConverging,
-)
+from .densities1d import log_bessel_density, log_bm_density
+from .errors import AccuracyLossWarning, DomainError, SizeLimit
 
 __all__ = [
     "hermite_phi",
@@ -371,72 +373,74 @@ class ExtendedKernel:
     nu: Optional[float] = None
 
 
-_TAIL_RATIO_FLOOR = 1e-16
-_TAIL_RUN = 5
+def _head_sum(phi_seq: Callable, xa: np.ndarray, ya: np.ndarray, r: float, same: bool):
+    """sum_{k<N} r^k phi_k(xa_i) phi_k(ya_j); phi.T @ phi, exactly symmetric, if same."""
+    phx = phi_seq(xa)
+    phy = phx if same else phi_seq(ya)
+    if r != 1.0:
+        phx = phx * (r ** np.arange(len(phx)))[:, None]
+    return phx.T @ phy
 
 
-def _finite_tail_sum(ratio: float, f_terms: Callable[[int], float], n_start: int) -> float:
-    """sum_{n >= n_start} ratio-weighted products, with the contract's
-    5-consecutive-below-floor stopping rule."""
-    if ratio >= 1.0:
-        raise TailNotConverging("tail ratio >= 1; branch misuse")
-    total = 0.0
-    below = 0
-    n = n_start
-    while True:
-        term = f_terms(n)
-        total += term
-        if abs(term) < _TAIL_RATIO_FLOOR * max(abs(total), 1e-300):
-            below += 1
-            if below >= _TAIL_RUN:
-                return total
-        else:
-            below = 0
-        n += 1
-        if n - n_start > 200_000:  # pragma: no cover
-            raise TailNotConverging("tail sum exceeded its term budget")
+def _hermite_block(n: int, s: float, xs: np.ndarray, t: float, ys: np.ndarray) -> np.ndarray:
+    """K_N(s, x_i; t, y_j) of the noncolliding BM, shape (len xs, len ys).
+
+    The head sum over phi_k(x / sqrt 2s) phi_k(y / sqrt 2t) with r = sqrt(t/s)
+    is the whole kernel for s <= t.  For s > t the kernel is the head minus
+    the full sum (Eynard-Mehta), which Mehler's formula makes the gauge
+    exp(x^2/4s - y^2/4t) times the Brownian density p(s - t, y | x).
+    """
+    out = _head_sum(lambda u: hermite_phi_sequence(n - 1, u), xs / math.sqrt(2.0 * s),
+                    ys / math.sqrt(2.0 * t), math.sqrt(t / s), s == t and ys is xs)
+    out /= math.sqrt(2.0 * s)
+    if s > t:
+        xc, yr = xs[:, None], ys[None, :]
+        out -= np.exp(xc * xc / (4.0 * s) - yr * yr / (4.0 * t)
+                      + log_bm_density(s - t, yr, xc))
+    return out
+
+
+def _laguerre_block(
+    n: int, nu: float, s: float, xs: np.ndarray, t: float, ys: np.ndarray
+) -> np.ndarray:
+    """K^(nu)_N(s, x_i; t, y_j) of the Bessel system, shape (len xs, len ys).
+
+    As :func:`_hermite_block`, with phi^nu_k at x^2/2s and y^2/2t, r = t/s
+    and the factor sqrt(x y) / s.  For s > t the Hille-Hardy formula makes
+    the full sum exp((nu + 1/2) log(x/y) + (nu/2) log(s/t) + x^2/4s - y^2/4t)
+    times the Bessel density p^(nu)(s - t, y | x); that branch needs x, y > 0.
+    """
+    out = _head_sum(lambda u: laguerre_phi_sequence(n - 1, nu, u), xs * xs / (2.0 * s),
+                    ys * ys / (2.0 * t), t / s, s == t and ys is xs)
+    out *= np.outer(np.sqrt(np.maximum(xs, 0.0)), np.sqrt(np.maximum(ys, 0.0)))
+    out /= s
+    if s > t:
+        xc, yr = xs[:, None], ys[None, :]
+        log_gauge = ((nu + 0.5) * np.log(xc / yr) + 0.5 * nu * math.log(s / t)
+                     + xc * xc / (4.0 * s) - yr * yr / (4.0 * t))
+        out -= np.exp(log_gauge + log_bessel_density(nu, s - t, yr, xc))
+    return out
 
 
 def kernel_hermite(n: int, s: float, x: float, t: float, y: float) -> float:
-    """Extended Hermite kernel K_N(s, x; t, y) of the noncolliding BM."""
+    """Extended Hermite kernel K_N(s, x; t, y) of the noncolliding BM.
+
+    For s > t the value is a difference of two terms, so its error is
+    absolute, which is what a Fredholm determinant needs: <= 1e-13 for
+    N <= 30 and 0.02 <= t/s <= 0.999.  Near x = y it grows with the
+    subtracted density as s comes down to t (4e-12 at t/s = 1 - 1e-7).
+    """
     if not (s > 0.0 and t > 0.0):
         raise DomainError("s, t > 0 required")
-    xa = x / math.sqrt(2.0 * s)
-    ya = y / math.sqrt(2.0 * t)
-    pref = 1.0 / math.sqrt(2.0 * s)
-    r = math.sqrt(t / s)
-    if s <= t:
-        phx = hermite_phi_sequence(n - 1, [xa])[:, 0]
-        phy = hermite_phi_sequence(n - 1, [ya])[:, 0]
-        powers = r ** np.arange(n)
-        return pref * float(np.sum(powers * phx * phy))
-    # s > t: minus the tail sum over n..inf with ratio sqrt(t/s) < 1
-    assert r < 1.0
-    seq_x = hermite_phi_sequence(n, [xa])[:, 0]
-    seq_y = hermite_phi_sequence(n, [ya])[:, 0]
-    state = {
-        "xp": seq_x[n - 1] if n >= 1 else 0.0, "xc": seq_x[n],
-        "yp": seq_y[n - 1] if n >= 1 else 0.0, "yc": seq_y[n],
-        "pow": r**n, "k": n,
-    }
-
-    def term(_m: int) -> float:
-        val = state["pow"] * state["xc"] * state["yc"]
-        k = state["k"]
-        c1 = math.sqrt(2.0 / (k + 1.0))
-        c2 = math.sqrt(k / (k + 1.0))
-        xn = c1 * xa * state["xc"] - c2 * state["xp"]
-        yn = c1 * ya * state["yc"] - c2 * state["yp"]
-        state.update(xp=state["xc"], xc=xn, yp=state["yc"], yc=yn)
-        state["pow"] *= r
-        state["k"] = k + 1
-        return val
-
-    return -pref * _finite_tail_sum(r, term, n)
+    return float(_hermite_block(n, s, np.array([float(x)]), t, np.array([float(y)]))[0, 0])
 
 
 def kernel_laguerre(n: int, nu: float, s: float, x: float, t: float, y: float) -> float:
-    """Extended Laguerre kernel K^(nu)_N(s, x; t, y) of the Bessel system."""
+    """Extended Laguerre kernel K^(nu)_N(s, x; t, y) of the Bessel system.
+
+    For s > t the error is absolute, as for :func:`kernel_hermite`, with
+    the same bounds at -1 < nu <= 40.
+    """
     if not (s > 0.0 and t > 0.0):
         raise DomainError("s, t > 0 required")
     if x < 0.0 or y < 0.0:
@@ -446,37 +450,8 @@ def kernel_laguerre(n: int, nu: float, s: float, x: float, t: float, y: float) -
         if nu > -0.5:
             return 0.0
         raise DomainError("kernel singular at the wall for nu <= -1/2")
-    xa = x * x / (2.0 * s)
-    ya = y * y / (2.0 * t)
-    pref = math.sqrt(x * y) / s
-    r = t / s
-    if s <= t:
-        phx = laguerre_phi_sequence(n - 1, nu, [xa])[:, 0]
-        phy = laguerre_phi_sequence(n - 1, nu, [ya])[:, 0]
-        powers = r ** np.arange(n)
-        return pref * float(np.sum(powers * phx * phy))
-    assert r < 1.0
-    seq_x = laguerre_phi_sequence(n, nu, [xa])[:, 0]
-    seq_y = laguerre_phi_sequence(n, nu, [ya])[:, 0]
-    state = {
-        "xp": seq_x[n - 1] if n >= 1 else 0.0, "xc": seq_x[n],
-        "yp": seq_y[n - 1] if n >= 1 else 0.0, "yc": seq_y[n],
-        "pow": r**n, "k": n,
-    }
-
-    def term(_m: int) -> float:
-        val = state["pow"] * state["xc"] * state["yc"]
-        k = state["k"]
-        norm = math.sqrt((k + 1.0) * (k + 1.0 + nu))
-        c2 = math.sqrt(k * (k + nu) / ((k + 1.0) * (k + 1.0 + nu)))
-        xn = ((2.0 * k + 1.0 + nu - xa) / norm) * state["xc"] - c2 * state["xp"]
-        yn = ((2.0 * k + 1.0 + nu - ya) / norm) * state["yc"] - c2 * state["yp"]
-        state.update(xp=state["xc"], xc=xn, yp=state["yc"], yc=yn)
-        state["pow"] *= r
-        state["k"] = k + 1
-        return val
-
-    return -pref * _finite_tail_sum(r, term, n)
+    block = _laguerre_block(n, nu, s, np.array([float(x)]), t, np.array([float(y)]))
+    return float(block[0, 0])
 
 
 def kernel_sine(s: float, x: float, t: float, y: float) -> float:
@@ -516,24 +491,20 @@ _HARD_SWITCH = 1e-4
 def _hard_edge_integral(nu: float, dt: float, x: float, y: float) -> float:
     """int_0^2 e^{dt u^2/2} J_nu(ux) u J_nu(uy) du.
 
-    The integrand behaves like u^{2 nu + 1} at 0; when that exponent is not
-    a nonnegative integer the edge is flattened by u = 2 w^{1/(2 nu + 2)}.
+    The integrand behaves like u^{2 nu + 1} at 0.  The substitution
+    u = 2 w^p makes it w^{p(2 nu + 2) - 1}; p = ceil(4 nu + 4) / (2 nu + 2)
+    is the smallest p >= 2 that makes this power an integer.  p >= 2 keeps
+    the nodes spread over u, where a small power for large nu would crowd
+    them into w ~ 0.
     """
-    edge_pow = 2.0 * nu + 1.0
-    if edge_pow >= 0.0 and edge_pow == int(edge_pow):
-        return fixed_quad(
-            lambda u: np.exp(dt * u * u / 2.0)
-            * bessel_j(nu, u * x) * u * bessel_j(nu, u * y),
-            0.0, 2.0, 96,
-        )
-    q = 1.0 / (2.0 * nu + 2.0)
+    p = math.ceil(4.0 * nu + 4.0) / (2.0 * nu + 2.0)
 
     def f(w):
-        u = 2.0 * w**q
+        u = 2.0 * w**p
         return (
             np.exp(dt * u * u / 2.0)
             * bessel_j(nu, u * x) * u * bessel_j(nu, u * y)
-            * 2.0 * q * w ** (q - 1.0)
+            * 2.0 * p * w ** (p - 1.0)
         )
 
     return fixed_quad(f, 0.0, 1.0, 96)
@@ -567,29 +538,20 @@ def kernel_bessel_hard(nu: float, s: float, x: float, t: float, y: float) -> flo
 # ---------------------------------------------------------------------------
 
 def hermite_kernel(n: int) -> ExtendedKernel:
-    def gram(t: float, xs: np.ndarray) -> np.ndarray:
-        phi = hermite_phi_sequence(n - 1, xs / math.sqrt(2.0 * t))
-        return (phi.T @ phi) / math.sqrt(2.0 * t)
-
     return ExtendedKernel(
         family="HermiteN",
         evaluate=lambda s, x, t, y: kernel_hermite(n, s, x, t, y),
-        equal_time_matrix=gram,
+        equal_time_matrix=lambda t, xs: _hermite_block(n, t, xs, t, xs),
         domain="line",
         n=n,
     )
 
 
 def laguerre_kernel(n: int, nu: float) -> ExtendedKernel:
-    def gram(t: float, xs: np.ndarray) -> np.ndarray:
-        phi = laguerre_phi_sequence(n - 1, nu, xs * xs / (2.0 * t))
-        scale = np.sqrt(np.maximum(xs, 0.0))
-        return (phi.T @ phi) * np.outer(scale, scale) / t
-
     return ExtendedKernel(
         family="LaguerreN",
         evaluate=lambda s, x, t, y: kernel_laguerre(n, nu, s, x, t, y),
-        equal_time_matrix=gram,
+        equal_time_matrix=lambda t, xs: _laguerre_block(n, nu, t, xs, t, xs),
         domain="halfline",
         n=n,
         nu=nu,

@@ -166,11 +166,28 @@ def test_bessel_i_scaled_order_range_enforced():
     zs = np.array([1e-3, 1.0, 26.0, 399.0, 400.0, 401.0, 650.0])
     ref = special.ive(20.0, zs)
     assert np.max(np.abs(dens.bessel_i_scaled(20.0, zs) - ref) / ref) <= 1e-12
-    for nu in (20.5, 26.0, 30.0, -1.0, math.nan):
+    # past nu = 20 the uniform expansion takes over: no raise, same accuracy
+    for nu in (20.5, 26.0, 30.0):
+        assert dens.bessel_i_scaled(nu, 676.0) == pytest.approx(
+            special.ive(nu, 676.0), rel=1e-12)
+    assert dens.bessel_i(26.0, 1.0) == pytest.approx(special.iv(26.0, 1.0), rel=1e-12)
+    for nu in (-1.0, math.nan):
         with pytest.raises(BesselIndexOutOfRange):
             dens.bessel_i_scaled(nu, 676.0)
-    with pytest.raises(BesselIndexOutOfRange):
-        dens.bessel_i(26.0, 1.0)
+
+
+@pytest.mark.parametrize("nu", [20.5, 26.0, 30.0, 60.0, 100.0])
+def test_bessel_i_scaled_large_order_matches_mpmath(nu):
+    mp = pytest.importorskip("mpmath")
+    zs = np.logspace(-3.0, math.log10(650.0), 40)
+    got = dens.bessel_i_scaled(nu, zs)
+    with mp.workdps(30):
+        for z, v in zip(zs, got):
+            ref = mp.besseli(nu, z) * mp.exp(-z)
+            if ref < mp.mpf("1e-290"):  # below the double range: 0 or subnormal
+                assert v < 1e-280
+                continue
+            assert abs(v - ref) <= 1e-12 * ref, (z, v)
 
 
 def test_bessel_at_smallest_subnormal():

@@ -90,6 +90,16 @@ def test_run_equivalence_validation():
         ex.run_equivalence_check("sde", "sde", {"n": 2}, RngStream(0, 0))
 
 
+def test_run_equivalence_unknown_route_rejected_before_drawing():
+    stream = RngStream(0, 0)
+    params = {"system": "dyson", "beta": 2.0, "n": 2, "n_samples": 100}
+    for routes in (("matrix", "kernal"), ("kernal", "matrix")):
+        with pytest.raises(RouteInapplicable, match="kernal"):
+            ex.run_equivalence_check(*routes, params, stream)
+    # the stream is untouched: its next draw is a fresh stream's first
+    assert stream.normal() == RngStream(0, 0).normal()
+
+
 def test_run_equivalence_matrix_kernel():
     rep = ex.run_equivalence_check(
         "matrix", "kernel",

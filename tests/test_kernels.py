@@ -194,6 +194,92 @@ def test_hermite_kernel_branch_continuity():
     assert abs(v_eq - v_lo) <= 1e-9
 
 
+def _mp_hermite_kernel(mp, n, s, x, t, y):
+    """Head sum minus Mehler's closed form, in mpmath arithmetic."""
+    s, t, x, y = map(mp.mpf, (s, t, x, y))
+    a, b, r = x / mp.sqrt(2 * s), y / mp.sqrt(2 * t), mp.sqrt(t / s)
+
+    def phi(k, u):
+        norm = mp.sqrt(mp.sqrt(mp.pi) * 2**k * mp.factorial(k))
+        return mp.hermite(k, u) * mp.exp(-u * u / 2) / norm
+
+    head = sum(r**k * phi(k, a) * phi(k, b) for k in range(n))
+    q = 1 - r * r
+    mehler = mp.exp((4 * a * b * r - (a * a + b * b) * (1 + r * r)) / (2 * q)) / mp.sqrt(mp.pi * q)
+    return (head - mehler) / mp.sqrt(2 * s)
+
+
+def _mp_laguerre_kernel(mp, n, nu, s, x, t, y):
+    """Head sum minus the Hille-Hardy closed form, in mpmath arithmetic."""
+    nu, s, t, x, y = map(mp.mpf, (nu, s, t, x, y))
+    a, b, r = x * x / (2 * s), y * y / (2 * t), t / s
+
+    def phi(k, u):
+        norm = mp.sqrt(mp.factorial(k) / mp.gamma(k + nu + 1))
+        return norm * u ** (nu / 2) * mp.exp(-u / 2) * mp.laguerre(k, nu, u)
+
+    head = sum(r**k * phi(k, a) * phi(k, b) for k in range(n))
+    full = (mp.exp(-(a + b) / 2 - (a + b) * r / (1 - r)) / (1 - r) * r ** (-nu / 2)
+            * mp.besseli(nu, 2 * mp.sqrt(a * b * r) / (1 - r)))
+    return mp.sqrt(x * y) / s * (head - full)
+
+
+def _s_after_t_cases(rng, count):
+    """(N, s, t) with N <= 30 and 0.02 <= t/s < 1."""
+    for _ in range(count):
+        n = int(rng.integers(1, 31))
+        t = float(rng.uniform(0.1, 3.0))
+        yield n, t / float(rng.uniform(0.02, 1.0)), t
+
+
+def test_hermite_kernel_s_after_t_matches_mehler():
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(61)
+    with mp.workdps(30):
+        for n, s, t in _s_after_t_cases(rng, 30):
+            x = float(rng.normal() * math.sqrt(2 * n * s))
+            y = float(rng.normal() * math.sqrt(2 * n * t))
+            ref = _mp_hermite_kernel(mp, n, s, x, t, y)
+            assert abs(K.kernel_hermite(n, s, x, t, y) - ref) <= 1e-13, (n, s, x, t, y)
+
+
+@pytest.mark.parametrize("nu", [-0.4, 0.0, 0.5, 2.3, 7.0, 19.5, 25.0, 40.0])
+def test_laguerre_kernel_s_after_t_matches_hille_hardy(nu):
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(62)
+    with mp.workdps(30):
+        for n, s, t in _s_after_t_cases(rng, 6):
+            x = float(abs(rng.normal()) * math.sqrt(2 * (2 * n + nu + 1) * s))
+            y = float(abs(rng.normal()) * math.sqrt(2 * (2 * n + nu + 1) * t))
+            ref = _mp_laguerre_kernel(mp, n, nu, s, x, t, y)
+            assert abs(K.kernel_laguerre(n, nu, s, x, t, y) - ref) <= 1e-13, (n, s, x, t, y)
+
+
+def test_extended_kernels_continuous_from_above():
+    # s = t (1 + 1e-7): the subtracted density is a spike of width ~3e-4
+    # at x = y, so off the diagonal the kernel tends to its s = t value
+    t, eps = 0.8, 1e-7
+    for x, y in ((0.3, 0.8), (-1.1, 0.2), (1.5, 1.4)):
+        v_eq = K.kernel_hermite(5, t, x, t, y)
+        assert abs(K.kernel_hermite(5, t * (1 + eps), x, t, y) - v_eq) <= 1e-6
+        for nu in (-0.4, 0.5, 25.0):
+            xl, yl = abs(x) + 0.1, abs(y) + 0.1
+            v_eq = K.kernel_laguerre(5, nu, t, xl, t, yl)
+            assert abs(K.kernel_laguerre(5, nu, t * (1 + eps), xl, t, yl) - v_eq) <= 1e-6
+
+
+def test_extended_grams_match_scalar_kernels():
+    xs = np.array([0.2, 0.9, 1.7, 2.4])
+    gram = K.hermite_kernel(4).equal_time_matrix(0.6, xs)
+    lgram = K.laguerre_kernel(4, 1.5).equal_time_matrix(0.6, xs)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(xs):
+            assert gram[i, j] == pytest.approx(K.kernel_hermite(4, 0.6, x, 0.6, y), abs=1e-15)
+            assert lgram[i, j] == pytest.approx(
+                K.kernel_laguerre(4, 1.5, 0.6, x, 0.6, y), abs=1e-15)
+    assert np.array_equal(lgram, lgram.T)
+
+
 def test_laguerre_kernel_trace_and_reproducing():
     for nu in (-0.4, 0.5):
         q = 2.0 if nu == 0.5 else 1.0 / (1.0 + nu)
@@ -256,6 +342,24 @@ def test_hard_edge_closed_vs_integral():
             closed = K.kernel_bessel_hard(nu, 1.0, x0, 1.0, y0)
             intval = math.sqrt(x0 * y0) * K._hard_edge_integral(nu, 0.0, x0, y0)
             assert abs(closed - intval) <= 1e-6
+
+
+def test_hard_edge_diagonal_at_nu_2_3():
+    # closed diagonal 2x [J_nu(2x)^2 - J_{nu+1}(2x) J_{nu-1}(2x)] at nu = 2.3,
+    # x = 5, 30 digits; a u = 2 w^{1/(2 nu + 2)} substitution gave 0.590196
+    assert K.kernel_bessel_hard(2.3, 1.0, 5.0, 1.0, 5.0) == pytest.approx(
+        0.594997945497569699808701596796, abs=1e-12)
+
+
+@pytest.mark.parametrize("nu", [-0.8, -0.4, 0.3, 2.3, 5.7])
+def test_hard_edge_kernel_matches_mpmath(nu):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        for s, x, t, y in ((1.0, 5.0, 1.0, 5.0), (1.0, 0.7, 1.0, 1.3), (1.0, 3.0, 1.5, 2.2)):
+            ref = mp.sqrt(x * y) * mp.quad(
+                lambda u: mp.exp((t - s) * u * u / 2) * mp.besselj(nu, u * x) * u
+                * mp.besselj(nu, u * y), [0, 0.5, 1, 1.5, 2])
+            assert abs(K.kernel_bessel_hard(nu, s, x, t, y) - ref) <= 1e-12, (s, x, t, y)
 
 
 def test_hard_edge_sine_reflection():
