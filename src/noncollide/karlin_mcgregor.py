@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -17,11 +18,13 @@ import numpy as np
 
 from .core import Chamber, OrderedConfiguration, RngStream
 from .densities1d import (
+    _erf_vec,
     bessel_i_scaled,
     log_bessel_density,
     log_bm_density,
 )
 from .errors import (
+    AccuracyLossWarning,
     BesselIndexOutOfRange,
     DivisionDegeneracy,
     DomainError,
@@ -310,12 +313,12 @@ def _constants(n: int, nu: float, kappa: float) -> NormalizationConstants:
 
 
 # ---------------------------------------------------------------------------
-# survival probabilities (quadrature N <= 3, Monte Carlo N >= 4)
+# survival probabilities (de Bruijn's Pfaffian)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class SurvivalEstimate:
-    """Noncollision probability with its standard error (0 for quadrature)."""
+    """Noncollision probability with its standard error (0 for closed forms)."""
 
     value: float
     stderr: float
@@ -354,22 +357,6 @@ def _ordered_tensor_grid(m: int, lo: float, hi: float, n: int, first_power: floa
     return pts, weight.ravel()
 
 
-_SURVIVAL_QUAD_CHUNK = 1 << 15  # configurations per f_N evaluation
-
-
-def _survival_quad(t: float, xv: np.ndarray, m: int) -> float:
-    lo = xv[0] - 6.5 * math.sqrt(t)
-    hi = xv[-1] + 6.5 * math.sqrt(t)
-    pts, w = _ordered_tensor_grid(m, lo, hi, len(xv))
-    # chunked: the (P, N, N) log-matrices of the whole grid would dominate memory
-    total = 0.0
-    for k in range(0, len(w), _SURVIVAL_QUAD_CHUNK):
-        sl = slice(k, k + _SURVIVAL_QUAD_CHUNK)
-        sign, logabs = _fn_log(t, pts[sl], xv)
-        total += float(np.dot(w[sl], sign * np.exp(logabs)))
-    return total
-
-
 _GEOMETRIC_CHECKS = 256
 
 
@@ -378,38 +365,71 @@ def _geometric_times(t: float, k: int = _GEOMETRIC_CHECKS) -> np.ndarray:
     return t * 2.0 ** ((np.arange(1, k + 1) - k) * (32.0 / k))
 
 
-def _survival_mc(
-    t: float, xv: np.ndarray, stream: RngStream, n_paths: int, checks: int
-) -> tuple[float, float]:
-    times = _geometric_times(t, checks)
-    incs = np.diff(np.concatenate([[0.0], times]))
-    n = len(xv)
-    alive_total = 0
-    done = 0
-    chunk = max(1, min(n_paths, int(2e7 / (checks * n))))
-    while done < n_paths:
-        c = min(chunk, n_paths - done)
-        z = stream.normal((c, checks, n))
-        paths = xv[None, None, :] + np.cumsum(z * np.sqrt(incs)[None, :, None], axis=1)
-        ordered = np.all(np.diff(paths, axis=2) > 0.0, axis=(1, 2))
-        alive_total += int(ordered.sum())
-        done += c
-    p = alive_total / n_paths
-    stderr = math.sqrt(max(p * (1.0 - p), 1.0 / n_paths) / n_paths)
-    return p, stderr
+def _pfaffian(a: np.ndarray) -> np.ndarray:
+    """Pfaffians of stacked skew-symmetric matrices a (P, M, M), M even.
+
+    Parlett-Reid elimination: step k swaps the largest |a[i, k]|, i > k, into
+    row and column k + 1 (a congruence that flips the sign), takes a[k, k+1]
+    as the next factor and replaces the trailing block by its skew Schur
+    complement.  Overwrites a.
+    """
+    p, m = a.shape[0], a.shape[1]
+    r = np.arange(p)[:, None]
+    pf = np.ones(p)
+    for k in range(0, m, 2):
+        piv = k + 1 + np.argmax(np.abs(a[:, k + 1:, k]), axis=1)
+        swap = np.stack([np.full(p, k + 1), piv], axis=1)
+        a[r, swap] = a[r, swap[:, ::-1]]
+        a[r, :, swap] = a[r, :, swap[:, ::-1]]
+        head = a[:, k, k + 1]
+        pf = np.where(piv == k + 1, pf, -pf) * head
+        u, v = a[:, k, k + 2:], a[:, k + 1, k + 2:]
+        # a zero head already made pf 0; dividing by 1 keeps the block finite
+        h = np.where(head == 0.0, 1.0, head)[:, None, None]
+        a[:, k + 2:, k + 2:] -= (u[:, :, None] * v[:, None, :] - v[:, :, None] * u[:, None, :]) / h
+    return pf
 
 
-def survival_n(
-    t: float,
-    x: OrderedConfiguration,
-    stream: Optional[RngStream] = None,
-    n_paths: int = 200_000,
-    mc_checks: int = _GEOMETRIC_CHECKS,
-) -> SurvivalEstimate:
+_PF_DELTA = 1e-6  # relative entry perturbation of the error probe
+_SURVIVAL_RTOL = 1e-8  # survival_n warns above this estimated relative error
+
+
+def _survival_pf(t: float, x_pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(N_N(t, x), estimated relative rounding error) over configurations x_pts (P, N).
+
+    de Bruijn: N_N(t, x) = Pf[erf((x_j - x_i) / 2 sqrt t)], bordered by ones
+    when N is odd.  Gaps small against sqrt t make the Pfaffian cancel digits;
+    a second elimination on the entries scaled by 1 +- 1e-6 in a checkerboard
+    pattern measures how much relative entry errors are amplified, and that
+    factor times the double epsilon is the estimate.
+    """
+    p, n = x_pts.shape
+    m = n + n % 2
+    a = np.zeros((p, m, m))
+    # erf is odd to the last bit, so the matrix is exactly skew
+    a[:, :n, :n] = _erf_vec((x_pts[:, None, :] - x_pts[:, :, None]) / (2.0 * math.sqrt(t)))
+    if n % 2:
+        a[:, :n, n] = 1.0
+        a[:, n, :n] = -1.0
+    checker = (-1.0) ** np.add.outer(np.arange(m), np.arange(m))
+    both = _pfaffian(np.concatenate([a, a * (1.0 + _PF_DELTA * checker)]))
+    val, probe = both[:p], both[p:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        est = np.abs(probe - val) / np.abs(val) * (np.finfo(float).eps / _PF_DELTA)
+    return val, est
+
+
+def survival_n(t: float, x: OrderedConfiguration) -> SurvivalEstimate:
     """Probability N_N(t, x) that N Brownian motions from x stay ordered on [0, t].
 
-    Quadrature (relative error ~1e-6) for N <= 3; Monte Carlo with a
-    geometric collision-check grid for N >= 4 (stream required).
+    Closed form for every N: de Bruijn's Pfaffian of erf((x_j - x_i) / 2 sqrt t)
+    (:func:`_survival_pf`), method ``"pfaffian"``, stderr 0.  Contract: the
+    relative error is at most 1e-8 unless an :class:`AccuracyLossWarning`
+    carrying the estimated relative error is emitted.  The estimate bounded
+    the actual error against 50-digit arithmetic wherever it was checked
+    (N <= 8, gaps 0.3 to 2 sqrt t); digits are lost when the gaps are small
+    against sqrt t, e.g. N = 8 at gap 0.3 sqrt t warns.  An estimate near 1
+    or above means no digit is left, and it can then understate the error.
     """
     if x.chamber is not Chamber.A:
         raise DomainError("survival_n is defined on chamber A")
@@ -417,52 +437,29 @@ def survival_n(
         raise NonPositiveTime("t must be nonnegative")
     if t == 0.0 or x.n == 1:
         return SurvivalEstimate(1.0, 0.0, "exact")
-    xv = x.as_array()
-    if x.n <= 3:
-        m = 40 if x.n == 3 else 64
-        coarse = _survival_quad(t, xv, m)
-        fine = _survival_quad(t, xv, 2 * m)
-        if abs(fine - coarse) > 1e-6 * max(abs(fine), 1e-300):
-            finest = _survival_quad(t, xv, 3 * m)
-            if abs(finest - fine) > 1e-6 * max(abs(finest), 1e-300):
-                raise QuadratureUnstable("survival quadrature did not converge")
-            fine = finest
-        return SurvivalEstimate(float(fine), 0.0, "quadrature")
-    if stream is None:
-        raise DomainError("N >= 4 survival needs an RngStream for Monte Carlo")
-    p, se = _survival_mc(t, xv, stream, n_paths, mc_checks)
-    return SurvivalEstimate(p, se, "mc")
+    val, est = _survival_pf(t, x.as_array()[None, :])
+    if not est[0] <= _SURVIVAL_RTOL:
+        warnings.warn(
+            f"survival_n: estimated relative error {est[0]:.1e} (gaps small against sqrt t)",
+            AccuracyLossWarning, stacklevel=2,
+        )
+    return SurvivalEstimate(float(val[0]), 0.0, "pfaffian")
 
 
 # ---------------------------------------------------------------------------
 # noncolliding Brownian motion densities
 # ---------------------------------------------------------------------------
 
-def g_nt(
-    s: float,
-    x: OrderedConfiguration,
-    t: float,
-    y: OrderedConfiguration,
-    T: float,
-    stream: Optional[RngStream] = None,
-    return_stderr: bool = False,
-    mc_paths: int = 200_000,
-):
+def g_nt(s: float, x: OrderedConfiguration, t: float, y: OrderedConfiguration, T: float) -> float:
     """Transition density of the noncolliding Brownian motion on (0, T]."""
     if not (0.0 <= s < t <= T):
         raise TimeOrdering("need 0 <= s < t <= T")
-    ny = survival_n(T - t, y, stream, n_paths=mc_paths)
-    nx = survival_n(T - s, x, stream, n_paths=mc_paths)
+    ny = survival_n(T - t, y).value
+    nx = survival_n(T - s, x).value
     sign, logf = f_n_log(t - s, y, x)
-    if nx.value <= 0.0:
+    if nx <= 0.0:
         raise DivisionDegeneracy("survival of the start configuration underflowed")
-    val = sign * math.exp(logf + math.log(ny.value) - math.log(nx.value)) if ny.value > 0 else 0.0
-    if not return_stderr:
-        return val
-    rel = 0.0
-    if ny.value > 0.0:
-        rel = math.hypot(ny.stderr / ny.value, nx.stderr / nx.value)
-    return val, abs(val) * rel
+    return sign * math.exp(logf + math.log(ny) - math.log(nx)) if ny > 0 else 0.0
 
 
 def _log_g_nt_origin(t: float, yv: np.ndarray, T: float, n_surv: float) -> float:
@@ -478,18 +475,13 @@ def _log_g_nt_origin(t: float, yv: np.ndarray, T: float, n_surv: float) -> float
     ) if n_surv > 0.0 else -math.inf
 
 
-def g_nt_origin(
-    t: float,
-    y: OrderedConfiguration,
-    T: float,
-    stream: Optional[RngStream] = None,
-) -> float:
+def g_nt_origin(t: float, y: OrderedConfiguration, T: float) -> float:
     """Density at time t of N noncolliding Brownian motions started at 0."""
     if not (0.0 < t <= T):
         raise TimeOrdering("need 0 < t <= T")
     if y.chamber is not Chamber.A:
         raise DomainError("chamber A required")
-    surv = survival_n(T - t, y, stream)
+    surv = survival_n(T - t, y)
     logv = _log_g_nt_origin(t, y.as_array(), T, surv.value)
     return math.exp(logv) if logv > -math.inf else 0.0
 
@@ -526,9 +518,7 @@ def p_n_origin(t: float, y: OrderedConfiguration) -> float:
     return math.exp(_log_p_n_origin(t, y.as_array()))
 
 
-def imhof_ratio(
-    t: float, y: OrderedConfiguration, T: float, stream: Optional[RngStream] = None
-) -> float:
+def imhof_ratio(t: float, y: OrderedConfiguration, T: float) -> float:
     """g_nt_origin / p_n_origin, the multidimensional Imhof density ratio."""
     if not (0.0 < t <= T):
         raise TimeOrdering("need 0 < t <= T")
@@ -536,7 +526,7 @@ def imhof_ratio(
     log_p = _log_p_n_origin(t, yv)
     if log_p < _LOG_MIN_NORMAL:
         raise DivisionDegeneracy("p_n_origin underflows at this configuration")
-    surv = survival_n(T - t, y, stream)
+    surv = survival_n(T - t, y)
     log_g = _log_g_nt_origin(t, yv, T, surv.value)
     return math.exp(log_g - log_p) if log_g > -math.inf else 0.0
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from noncollide import karlin_mcgregor as km
 from noncollide.core import RngStream, validate_chamber
 from noncollide.densities1d import DensityParams
 from noncollide.errors import (
+    AccuracyLossWarning,
     BesselIndexOutOfRange,
     DivisionDegeneracy,
     DomainError,
@@ -88,8 +90,68 @@ def test_survival_time_zero_and_single():
 def test_survival_two_particles_vs_erf():
     for (t, gap) in ((1.0, 1.0), (0.5, 2.0), (2.0, 0.3)):
         est = km.survival_n(t, A(0.0, gap))
-        assert est.method == "quadrature"
-        assert abs(est.value - math.erf(gap / (2 * math.sqrt(t)))) <= 1e-6 * est.value
+        assert est.method == "pfaffian"
+        assert abs(est.value - math.erf(gap / (2 * math.sqrt(t)))) <= 1e-14 * est.value
+
+
+def _survival_sweep():
+    """(t, x) with N = 2..8 and gaps uniform in [0.3, 2] sqrt(t)."""
+    rng = np.random.default_rng(11)
+    cases = []
+    for n in range(2, 9):
+        for _ in range(4):
+            t = float(rng.uniform(0.2, 3.0))
+            gaps = rng.uniform(0.3, 2.0, n - 1) * math.sqrt(t)
+            cases.append((t, rng.normal() + np.concatenate([[0.0], np.cumsum(gaps)])))
+    return cases
+
+
+def _survival_mp(t, x):
+    """de Bruijn's Pfaffian as sqrt(det) of the bordered erf matrix, 50 digits."""
+    mp = pytest.importorskip("mpmath")
+    n = len(x)
+    with mp.workdps(50):
+        a = mp.zeros(n + n % 2)
+        for i in range(n):
+            for j in range(n):
+                a[i, j] = mp.erf((mp.mpf(x[j]) - mp.mpf(x[i])) / (2 * mp.sqrt(t)))
+            if n % 2:
+                a[i, n], a[n, i] = 1, -1
+        return float(mp.sqrt(mp.det(a)))
+
+
+def test_survival_pfaffian_vs_mpmath():
+    tight = 0
+    for t, x in _survival_sweep():
+        val, est = km._survival_pf(t, x[None, :])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sv = km.survival_n(t, A(*x))
+        assert sv.value == val[0] and sv.method == "pfaffian" and sv.stderr == 0.0
+        assert bool(caught) == (est[0] > 1e-8)
+        if est[0] <= 1e-12:
+            tight += 1
+            exact = _survival_mp(t, x)
+            assert abs(sv.value - exact) <= 1e-12 * exact
+    assert tight >= 14
+
+
+def test_survival_error_estimate_bounds_actual():
+    for t, x in _survival_sweep():
+        val, est = km._survival_pf(t, x[None, :])
+        exact = _survival_mp(t, x)
+        assert abs(val[0] - exact) / exact <= est[0]
+
+
+def test_survival_pinned_four_particles():
+    # de Bruijn's Pfaffian in 60-digit arithmetic
+    v = km.survival_n(1.0, A(-1.5, -0.5, 0.5, 1.5)).value
+    assert abs(v - 0.0636331070602728) <= 1e-12 * v
+
+
+def test_survival_tight_start_warns():
+    with pytest.warns(AccuracyLossWarning, match="estimated relative error"):
+        km.survival_n(1.0, A(*(0.3 * np.arange(8))))
 
 
 def test_survival_asymptotic_ratio():
@@ -102,28 +164,6 @@ def test_survival_asymptotic_ratio():
         errs.append(abs(km.survival_n(1.0, x).value / asym - 1.0))
     assert errs[0] > errs[1] > errs[2]
     assert errs[-1] <= 1e-4
-
-
-def test_survival_mc_matches_quadrature():
-    # the documented empirical bias bound: a factor-4 grid refinement moves
-    # a separated-configuration estimate by less than 2 sigma
-    x = np.array([0.0, 3.0, 6.0, 9.0])
-    est = km._survival_mc(0.25, x, RngStream(5, 1), 20000, 256)
-    est2 = km._survival_mc(0.25, x, RngStream(5, 2), 20000, 1024)
-    assert abs(est[0] - est2[0]) <= 2 * math.hypot(est[1], est2[1])
-    # and at N=2 the estimator is consistent with the erf closed form
-    est3 = km._survival_mc(0.25, np.array([0.0, 3.0]), RngStream(5, 7), 20000, 256)
-    exact = math.erf(3.0 / (2 * math.sqrt(0.25)))
-    assert abs(est3[0] - exact) <= 3 * est3[1] + 1e-4
-
-
-def test_survival_mc_two_particle_bias_bounded():
-    # tight N=2 start: the documented positive bias shrinks under refinement
-    exact = math.erf(0.5)
-    p256, _ = km._survival_mc(1.0, np.array([0.0, 1.0]), RngStream(5, 3), 20000, 256)
-    p1024, _ = km._survival_mc(1.0, np.array([0.0, 1.0]), RngStream(5, 4), 20000, 1024)
-    assert p256 >= exact - 0.01
-    assert abs(p1024 - exact) < abs(p256 - exact)
 
 
 def test_vandermonde_values():
@@ -183,21 +223,13 @@ def test_vandermonde_accepts_lists_arrays_and_ints():
     assert km.log_vandermonde_alpha([-0.1, 0.5], 0.0) == -math.inf
 
 
-def test_survival_quad_chunked_matches_single_pass():
-    xv = np.array([-0.4, 0.1, 0.7])
-    pts, w = km._ordered_tensor_grid(40, xv[0] - 6.5, xv[-1] + 6.5, 3)
-    assert len(w) > km._SURVIVAL_QUAD_CHUNK  # the grid spans several chunks
-    sign, logabs = km._fn_log(1.0, pts, xv)
-    whole = float(np.dot(w, sign * np.exp(logabs)))
-    assert km._survival_quad(1.0, xv, 40) == pytest.approx(whole, rel=1e-14)
-
-
 def test_g_nt_horizon_boundary():
     # t = T: N(0, y) = 1 so g = f / N(T - s, x)
-    x, y = A(-1.0, 1.0), A(-0.5, 1.5)
-    v = km.g_nt(0.0, x, 1.0, y, 1.0)
-    expect = km.f_n(1.0, y, x) / km.survival_n(1.0, x).value
-    assert v == pytest.approx(expect, rel=1e-12)
+    for x, y in ((A(-1.0, 1.0), A(-0.5, 1.5)),
+                 (A(-1.5, -0.5, 0.5, 1.5), A(-2.0, -0.6, 0.8, 2.1))):
+        v = km.g_nt(0.0, x, 1.0, y, 1.0)
+        expect = km.f_n(1.0, y, x) / km.survival_n(1.0, x).value
+        assert v == pytest.approx(expect, rel=1e-12)
 
 
 def test_g_nt_origin_is_goe_at_horizon():
@@ -437,11 +469,14 @@ def test_generalized_imhof_at_horizon():
 
 
 def test_g_nt_mc_error_metadata():
-    # N = 4 uses the Monte Carlo survival; stderr propagates on request
+    # N = 4 once needed a Monte Carlo survival with a stderr; the Pfaffian
+    # route reports an exact-method error of 0 for both survivals g_nt uses
     x = A(-1.5, -0.5, 0.5, 1.5)
     y = A(-2.0, -0.6, 0.8, 2.1)
-    stream = RngStream(5, 8)
-    val, err = km.g_nt(0.0, x, 0.5, y, 1.0, stream=stream, return_stderr=True,
-                       mc_paths=20_000)
+    nx, ny = km.survival_n(1.0, x), km.survival_n(0.5, y)
+    for est in (nx, ny):
+        assert est.method == "pfaffian" and est.stderr == 0.0
+        assert 0.0 < est.value < 1.0
+    val = km.g_nt(0.0, x, 0.5, y, 1.0)
     assert val > 0.0
-    assert err > 0.0
+    assert val == pytest.approx(km.f_n(0.5, y, x) * ny.value / nx.value, rel=1e-12)
