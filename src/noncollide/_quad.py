@@ -31,6 +31,21 @@ def legendre_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+@functools.lru_cache(maxsize=8)
+def legendre_integration(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes u and weights w on [0, 1], and the matrix S with
+    (S f)_a = int_0^{u_a} of the degree m - 1 interpolant of f at the nodes: discrete
+    orthogonality gives its Legendre coefficients (2k + 1)/2 sum_b w_b P_k f_b, and
+    int_{-1}^x P_k = (P_{k+1} - P_{k-1}) / (2k + 1)."""
+    x, w = legendre_rule(m)
+    p = np.empty((m + 1, m))
+    p[0], p[1] = 1.0, x
+    for k in range(1, m):
+        p[k + 1] = ((2 * k + 1) * x * p[k] - k * p[k - 1]) / (k + 1)
+    antider = np.vstack([x + 1.0, p[2:] - p[:-2]])
+    return 0.5 * (x + 1.0), 0.5 * w, 0.25 * antider.T @ (p[:m] * w)
+
+
 def gl_nodes(m: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre rule mapped to (a, b)."""
     x, w = legendre_rule(m)

@@ -112,9 +112,6 @@ class RngStream:
         """chi-distributed draws (sqrt of chi-square with ``df`` dof), df > 0 real."""
         return np.sqrt(2.0 * self._gen.standard_gamma(df / 2.0, size))
 
-    def poisson(self, lam, size=None):
-        return self._gen.poisson(lam, size)
-
     def complex_normal(self, size=None, scale=1.0):
         """(re + 1j*im) with independent N(0, scale^2) parts."""
         re = self._gen.standard_normal(size)

@@ -3,10 +3,7 @@ integrators, and kernel analytics, with reproducible JSON reports.
 
 Statistical gates use 1% critical values under pinned seeds: the committed
 seeds are ones for which the true-model comparisons pass, trading
-statistical power for CI determinism.  Expected densities for the binned
-tests are tabulated with the N=2 closed-form survival (erf of the gap);
-the quadrature implementation of the same quantity is cross-checked in the
-km suite.
+statistical power for CI determinism.
 """
 
 from __future__ import annotations
@@ -632,6 +629,15 @@ def _suite_km(seed: int) -> ExperimentReport:
             rhs = km.survival_n(0.7 + s, validate_chamber(xv, Chamber.A)).value
             worst_bm = max(worst_bm, abs(lhs / rhs - 1.0))
     rep.add("fn_semigroup_bm", worst_bm, worst_bm <= 1e-9)
+    # the same for the weighted survival at (nu, kappa) = (1/2, 1); N~(0, y) = prod y^-kappa
+    x_nu = validate_chamber([0.4, 1.1], Chamber.C)
+    pts, w = km._ordered_tensor_grid(32, 0.0, 1.1 + 8.0 * math.sqrt(0.7), 2)
+    sign, logf = km._fn_nu_log(0.5, 0.7, pts, x_nu.as_array())
+    worst_nn, nn_pts = 0.0, km._nn_tilde_pf(0.5, 1.0, 0.4, pts)[0]
+    for s, inner in ((0.0, 1.0 / np.prod(pts, axis=1)), (0.4, nn_pts)):
+        lhs = float(np.dot(w, sign * np.exp(logf) * inner))
+        worst_nn = max(worst_nn, abs(lhs / km.nn_tilde(0.5, 1.0, 0.7 + s, x_nu).value - 1.0))
+    rep.add("nn_tilde_semigroup", worst_nn, worst_nn <= 1e-12)
     rep.add("fn_nu_vs_km_bessel", worst_bessel, worst_bessel <= 1e-10)
     # multidimensional Imhof at t = T (closed form both sides)
     y = validate_chamber([-1.0, 1.0], Chamber.A)

@@ -510,19 +510,29 @@ def _hard_edge_integral(nu: float, dt: float, x: float, y: float) -> float:
     return fixed_quad(f, 0.0, 1.0, 96)
 
 
+def _hard_edge_closed(nu: float, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Equal-time hard-edge kernel K(x_i, y_j) = 2 sqrt(xy) [J_nu(2x) y J'_nu(2y) -
+    J_nu(2y) x J'_nu(2x)] / (x^2 - y^2), Bessel functions at the m + n points only;
+    entries with |x - y| < 1e-4 or a zero coordinate use the defining u-integral."""
+    jx, jy = bessel_j(nu, 2.0 * xs), bessel_j(nu, 2.0 * ys)
+    x, y = xs[:, None], ys[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # J'_nu(2v) as bessel_j_prime forms it; zero coordinates take the integral below
+        dx, dy = ((nu / (2 * v)) * j - bessel_j(nu + 1.0, 2 * v) for v, j in ((xs, jx), (ys, jy)))
+        num = jx[:, None] * y * dy[None, :] - jy[None, :] * x * dx[:, None]
+        out = 2.0 * np.sqrt(x * y) * num / (x * x - y * y)
+    near = (np.abs(x - y) < _HARD_SWITCH) | (x == 0.0) | (y == 0.0)
+    for i, j in zip(*np.nonzero(near)):
+        out[i, j] = math.sqrt(xs[i] * ys[j]) * _hard_edge_integral(nu, 0.0, xs[i], ys[j])
+    return out
+
+
 def kernel_bessel_hard(nu: float, s: float, x: float, t: float, y: float) -> float:
-    """Hard-edge Bessel kernel; equal time uses the closed (x^2 - y^2) form
-    with the removable x = y singularity evaluated through the defining
-    u-integral."""
+    """Hard-edge Bessel kernel; equal time by :func:`_hard_edge_closed`."""
     if x < 0.0 or y < 0.0:
         raise DomainError("x, y >= 0 required")
     if s == t:
-        if abs(x - y) >= _HARD_SWITCH and x > 0.0 and y > 0.0:
-            num = bessel_j(nu, 2.0 * x) * y * bessel_j_prime(nu, 2.0 * y) - bessel_j(
-                nu, 2.0 * y
-            ) * x * bessel_j_prime(nu, 2.0 * x)
-            return 2.0 * math.sqrt(x * y) * num / (x * x - y * y)
-        return math.sqrt(x * y) * _hard_edge_integral(nu, 0.0, x, y)
+        return float(_hard_edge_closed(nu, np.array([float(x)]), np.array([float(y)]))[0, 0])
     if s < t:
         return math.sqrt(x * y) * _hard_edge_integral(nu, t - s, x, y)
     width = math.sqrt(2.0 / (s - t))
@@ -590,18 +600,10 @@ def airy_kernel() -> ExtendedKernel:
 
 
 def bessel_hard_kernel(nu: float) -> ExtendedKernel:
-    def gram(t: float, xs: np.ndarray) -> np.ndarray:
-        m = len(xs)
-        out = np.empty((m, m))
-        for i in range(m):
-            for j in range(i, m):
-                out[i, j] = out[j, i] = kernel_bessel_hard(nu, t, xs[i], t, xs[j])
-        return out
-
-    return ExtendedKernel(
+    return ExtendedKernel(  # bessel_j rejects negative nodes
         family="BesselHard",
         evaluate=lambda s, x, t, y: kernel_bessel_hard(nu, s, x, t, y),
-        equal_time_matrix=gram,
+        equal_time_matrix=lambda t, xs: _hard_edge_closed(nu, *[np.asarray(xs, dtype=float)] * 2),
         domain="halfline",
         nu=nu,
     )

@@ -390,25 +390,50 @@ def test_nn_tilde_exact_time_zero():
     assert est.value == pytest.approx((0.5 * 1.5) ** -1.0, rel=1e-14)
 
 
-def test_nn_tilde_mc_vs_quadrature():
-    x = C(2.0, 4.0)
-    quad = km.nn_tilde(0.5, 1.0, 0.25, x)
-    # force the MC estimator through the private path for cross-validation
-    times = km._geometric_times(0.25, 256)
-    stream = RngStream(5, 6)
-    n_paths = 20000
-    incs = np.diff(np.concatenate([[0.0], times]))
-    sq = np.broadcast_to((x.as_array() ** 2)[None, :], (n_paths, 2)).copy()
-    ordered = np.ones(n_paths, dtype=bool)
-    for dt_k in incs:
-        pois = stream.poisson(sq / (2.0 * dt_k))
-        sq = 2.0 * dt_k * stream.gamma(0.5 + 1.0 + pois)
-        ordered &= np.all(np.diff(sq, axis=1) > 0.0, axis=1) & (sq[:, 0] > 0.0)
-    w = np.where(ordered, np.prod(sq ** (-0.5), axis=1), 0.0)
-    mean = w.mean()
-    se = w.std() / math.sqrt(n_paths)
-    # discrete checking gives a small positive bias; 4 sigma + bias slack
-    assert abs(mean - quad.value) <= 4 * se + 0.02 * quad.value
+@pytest.mark.parametrize("nu,kappa,t,x", [
+    (0.5, 1.0, 1.0, 0.7), (0.0, 0.5, 2.0, 1.3), (-0.4, 0.3, 0.5, 0.2),
+    (2.3, 1.5, 1.0, 3.0), (-0.9, 0.05, 1.0, 1.0),
+])
+def test_nn_tilde_single_particle_vs_kummer(nu, kappa, t, x):
+    # N = 1: E_x[Y_t^-kappa] = (2t)^(-kappa/2) Gamma(nu + 1 - kappa/2) / Gamma(nu + 1)
+    #        * 1F1(kappa/2; nu + 1; -x^2 / 2t)
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        exact = float(
+            (2 * mp.mpf(t)) ** (-mp.mpf(kappa) / 2) * mp.gamma(nu + 1 - mp.mpf(kappa) / 2)
+            / mp.gamma(nu + 1) * mp.hyp1f1(mp.mpf(kappa) / 2, nu + 1, -mp.mpf(x) ** 2 / (2 * t))
+        )
+    est = km.nn_tilde(nu, kappa, t, C(x))
+    assert est.method == "pfaffian" and est.stderr == 0.0
+    assert abs(est.value - exact) <= 1e-12 * exact
+    # the meander normalizer is the same quantity by adaptive quadrature
+    h = dens.h_nu_kappa(DensityParams(nu=nu, kappa=kappa, T=t), 0.0, x)
+    assert abs(h - exact) <= 1e-8 * exact
+
+
+def test_nn_tilde_pinned_three_particles():
+    # a graded 3-D tensor quadrature of the density does not settle to 2e-6 at this start
+    v = km.nn_tilde(0.0, 0.5, 1.0, C(0.3, 0.9, 1.6)).value
+    assert abs(v - 8.392569446e-3) <= 1e-10 * v
+
+
+def test_nn_tilde_pinned_four_particles():
+    # Monte Carlo that checks the ordering at discrete times only gives ~10x this value
+    xv = np.array([0.5, 1.0, 1.5, 2.0])
+    v = km.nn_tilde(0.5, 0.0, 1.0, C(*xv)).value
+    assert abs(v - 1.2327973986e-4) <= 1e-10 * v
+    # independent route: 4-D ordered tensor quadrature of the Karlin-McGregor density
+    pts, w = km._ordered_tensor_grid(24, 0.0, xv[-1] + 7.0, 4)
+    total = 0.0
+    for lo in range(0, len(pts), 1 << 14):
+        sign, logf = km._fn_nu_log(0.5, 1.0, pts[lo:lo + (1 << 14)], xv)
+        total += float(np.dot(w[lo:lo + (1 << 14)], sign * np.exp(logf)))
+    assert abs(total - v) <= 2e-8 * v
+
+
+def test_nn_tilde_tight_start_warns():
+    with pytest.warns(AccuracyLossWarning, match="nn_tilde: estimated relative error"):
+        km.nn_tilde(0.5, 1.0, 1.0, C(*(0.5 + 0.5 * np.arange(8))))
 
 
 def test_g_nt_nu_kappa_reductions():
@@ -427,7 +452,7 @@ def test_g_nt_nu_kappa_reductions():
 
 def test_g_nt_nu_kappa_origin_normalization():
     params = DensityParams(nu=0.5, kappa=1.0, T=1.0)
-    pts, w = km._ordered_tensor_grid(32, 0.0, 7.0, 2, first_power=1.0)
+    pts, w = km._ordered_tensor_grid(32, 0.0, 7.0, 2)
     vals = np.array([km.g_nt_nu_kappa_origin(params, 0.5, C(*p)) for p in pts])
     assert abs(float(np.dot(w, vals)) - 1.0) <= 1e-4
 

@@ -5,6 +5,7 @@ import pytest
 
 from noncollide import ensembles as ens
 from noncollide import kernels as K
+from noncollide._quad import gl_nodes
 from noncollide.core import RngStream
 from noncollide.errors import AccuracyLossWarning, DomainError, SizeLimit
 from oracles import (
@@ -360,6 +361,14 @@ def test_hard_edge_kernel_matches_mpmath(nu):
                 lambda u: mp.exp((t - s) * u * u / 2) * mp.besselj(nu, u * x) * u
                 * mp.besselj(nu, u * y), [0, 0.5, 1, 1.5, 2])
             assert abs(K.kernel_bessel_hard(nu, s, x, t, y) - ref) <= 1e-12, (s, x, t, y)
+
+
+@pytest.mark.parametrize("nu", [-0.4, 0.5, 2.3])
+def test_hard_edge_gram_matches_scalar(nu):
+    xs = np.concatenate([[0.0], gl_nodes(32, 0.0, 4.0)[0]])
+    gram = K.bessel_hard_kernel(nu).equal_time_matrix(1.0, xs)
+    scalar = np.array([[K.kernel_bessel_hard(nu, 1.0, x, 1.0, y) for y in xs] for x in xs])
+    assert np.all(np.abs(gram - scalar) <= 1e-14 * np.abs(scalar))
 
 
 def test_hard_edge_sine_reflection():
