@@ -252,6 +252,10 @@ def _cmd_verify(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     overrides = {}
     if args.dt_max is not None:
+        if args.suite not in ("sde", "all"):
+            print(f"error: --dt-max sets the sde suite's step cap; --suite {args.suite} "
+                  "has no SDE", file=sys.stderr)
+            return 2
         overrides["dt_max"] = args.dt_max
     reports = ex.run_suite(args.suite, seed, **overrides)
     payload = "[" + ",".join(r.to_json() for r in reports) + "]"

@@ -1,9 +1,20 @@
-"""Cross-validation harness: KS/chi-square gates comparing samplers, SDE
-integrators, and kernel analytics, with reproducible JSON reports.
+"""Cross-validation harness: every sampler route gated against exact
+power-sum moments, deterministic checks of the analytic routes, and
+reproducible JSON reports.
 
-Statistical gates use 1% critical values under pinned seeds: the committed
-seeds are ones for which the true-model comparisons pass, trading
-statistical power for CI determinism.
+Gate contract.  Every stochastic verdict is one test at level alpha = 1e-4.
+A sampler route draws P configurations of N levels; its moment gate takes the
+per-draw power sums (p_2, p_4), p_k = sum_i x_i^k, their sample mean minus the
+exact (E p_2, E p_4) as d and their sample covariance as S, and rejects when
+chi2 = P d^T S^-1 d exceeds the chi-square(2) point -2 ln alpha = 18.42.  The
+scalar z-statistics (rightmost-particle CDF, Harish-Chandra, step halving)
+reject when |z| exceeds the two-sided normal point 3.891.  About 24 such
+verdicts run in ``verify --suite all``, so a correct sampler fails the whole
+suite on at most about 0.25 % of seeds.  Powers above 4 are left out: with
+p_6 added, a chi-square(3) gate on 20k GOE N = 3 spectra exceeded its nominal
+1e-3 point in 6 of 2000 runs, this gate in 1.  Deterministic verdicts compare
+a quadrature with a closed form under a bound set from the quadrature's
+measured convergence.
 """
 
 from __future__ import annotations
@@ -29,9 +40,6 @@ from . import fredholm as fred
 
 __all__ = [
     "ExperimentReport",
-    "ks_statistic",
-    "chi2_statistic",
-    "chi2_critical",
     "run_marginal_check",
     "run_equivalence_check",
     "run_bridge_check",
@@ -42,139 +50,51 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# statistics
+# exact power-sum moments and the moment gate
 # ---------------------------------------------------------------------------
 
-def _gamma_q(a: float, x: float) -> float:
-    """Upper regularized incomplete gamma Q(a, x) (series / continued fraction)."""
-    if x < 0.0 or a <= 0.0:
-        raise DomainError("need x >= 0, a > 0")
-    if x == 0.0:
-        return 1.0
-    if x < a + 1.0:
-        # lower series
-        term = 1.0 / a
-        total = term
-        n = a
-        for _ in range(500):
-            n += 1.0
-            term *= x / n
-            total += term
-            if abs(term) < 1e-16 * abs(total):
-                break
-        p = total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-        return 1.0 - p
-    # continued fraction (Lentz)
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 500):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        d = tiny if abs(d) < tiny else d
-        c = b + an / c
-        c = tiny if abs(c) < tiny else c
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-15:
-            break
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
+def _gaussian_moments(beta: float, n: int, t: float) -> tuple[float, float]:
+    """(E p_2, E p_4) of the Gaussian beta-ensemble at variance t, density
+    proportional to |Delta(x)|^beta exp(-|x|^2 / 2t): GUE/GOE/GSE distinct
+    levels, the beta-tridiagonal model, Dyson's model from 0.  Wick counting on
+    the Dumitriu-Edelman tridiagonal model (J. Math. Phys. 43 (2002) 5830-5847);
+    beta = 2 gives Harer-Zagier's N^2 t and (2N^3 + N) t^2."""
+    pairs = n * (n - 1)
+    return (
+        t * (n + 0.5 * beta * pairs),
+        t * t * (3 * n + 2.5 * beta * pairs + 0.25 * beta * beta * pairs * (2 * n - 3)),
+    )
 
 
-def chi2_critical(dof: int, alpha: float = 0.01) -> float:
-    """Upper-alpha critical value of the chi-square distribution."""
-    lo, hi = 0.0, dof + 200.0 + 20.0 * math.sqrt(dof)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _gamma_q(dof / 2.0, mid / 2.0) > alpha:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _laguerre_moments(nu: float, n: int, t: float) -> tuple[float, float]:
+    """(E sum X^2, E sum X^4) of the Bessel system from 0 at time t, X = sqrt of
+    the Laguerre (beta = 2) eigenvalues: class C/D at nu = +-1/2, the Gamma law at N = 1."""
+    return 2.0 * t * n * (n + nu), 4.0 * t * t * n * (n + nu) * (2 * n + nu)
 
 
-@dataclass(frozen=True)
-class KsResult:
-    d: float
-    critical_1pct: float
-
-    @property
-    def passed(self) -> bool:
-        return self.d <= self.critical_1pct
-
-
-_KS_COEF_1PCT = 1.628  # sqrt(-log(0.005)/2), the asymptotic 1% point
+def _bridge_moments(n: int, t: float, c: float) -> tuple[float, float]:
+    """(E p_2, E p_4) of the GUE-to-GOE bridge at time t: real parts as GOE at
+    variance t, imaginary parts of variance c/2, c = t(T - t)/T.  In a = (t - c)/2
+    and b = (t + c)/2; c = t is GUE at variance t, c = 0 is GOE."""
+    a, b = 0.5 * (t - c), 0.5 * (t + c)
+    return (
+        a * n + b * n * n,
+        (n * n + 2 * n) * a * a + (4 * n * n + 2 * n) * a * b + (2 * n ** 3 + n) * b * b,
+    )
 
 
-def ks_statistic(sample_a, reference) -> KsResult:
-    """One-sample (reference = CDF callable) or two-sample KS distance
-    with the asymptotic 1% critical value."""
-    a = np.sort(np.asarray(sample_a, dtype=float))
-    n = len(a)
-    if n == 0:
-        raise DomainError("empty sample")
-    if callable(reference):
-        cdf = np.asarray([reference(v) for v in a], dtype=float)
-        up = np.arange(1, n + 1) / n
-        lo = np.arange(0, n) / n
-        d = float(max(np.max(up - cdf), np.max(cdf - lo)))
-        return KsResult(d=d, critical_1pct=_KS_COEF_1PCT / math.sqrt(n))
-    b = np.sort(np.asarray(reference, dtype=float))
-    m = len(b)
-    grid = np.concatenate([a, b])
-    fa = np.searchsorted(a, grid, side="right") / n
-    fb = np.searchsorted(b, grid, side="right") / m
-    d = float(np.max(np.abs(fa - fb)))
-    return KsResult(d=d, critical_1pct=_KS_COEF_1PCT * math.sqrt((n + m) / (n * m)))
+_ALPHA = 1e-4
+_CHI2_CRIT = -2.0 * math.log(_ALPHA)  # chi-square(2) tail is exp(-x/2)
+_Z_CRIT = 3.890592  # two-sided standard normal point at _ALPHA
 
 
-@dataclass(frozen=True)
-class Chi2Result:
-    statistic: float
-    dof: int
-    critical_1pct: float
-
-    @property
-    def passed(self) -> bool:
-        return self.statistic <= self.critical_1pct
-
-
-def chi2_statistic(sample, bin_edges, expected_probs) -> Chi2Result:
-    """Binned chi-square against analytic bin probabilities."""
-    counts, _ = np.histogram(np.asarray(sample, dtype=float), bins=bin_edges)
-    n = counts.sum()
-    exp = np.asarray(expected_probs) * n
-    if np.any(exp < 5.0):
-        raise DomainError("expected counts too small; rebin")
-    stat = float(np.sum((counts - exp) ** 2 / exp))
-    dof = len(counts) - 1
-    return Chi2Result(statistic=stat, dof=dof, critical_1pct=chi2_critical(dof))
-
-
-def equal_mass_bins(
-    density: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
-    n_bins: int,
-    grid_size: int = 2000,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Bin edges with equal analytic mass under ``density`` on [lo, hi].
-
-    Returns (edges, probs); probs sum to the density mass on [lo, hi]
-    normalized to 1 (the density is renormalized over the window).
-    """
-    xs = np.linspace(lo, hi, grid_size)
-    vals = density(xs)
-    cum = np.concatenate([[0.0], np.cumsum((vals[1:] + vals[:-1]) / 2.0 * np.diff(xs))])
-    total = cum[-1]
-    targets = np.linspace(0.0, total, n_bins + 1)
-    edges = np.interp(targets, cum, xs)
-    edges[0], edges[-1] = lo, hi
-    return edges, np.full(n_bins, 1.0 / n_bins)
+def _moment_gate(rep: ExperimentReport, name: str, levels, exact) -> None:
+    """Add the moment gate of levels (P, N) against exact (E p_2, E p_4) to rep."""
+    x2 = np.asarray(levels, dtype=float) ** 2
+    p = np.stack([x2.sum(axis=1), (x2 * x2).sum(axis=1)], axis=1)
+    d = p.mean(axis=0) - np.asarray(exact, dtype=float)
+    chi2 = len(p) * float(d @ np.linalg.solve(np.cov(p, rowvar=False), d))
+    rep.add(name, chi2, chi2 <= _CHI2_CRIT, critical_value=_CHI2_CRIT)
 
 
 # ---------------------------------------------------------------------------
@@ -293,16 +213,26 @@ def _pin(report: ExperimentReport, t0: float) -> ExperimentReport:
     return report
 
 
+def _merge(rep: ExperimentReport, prefix: str, sub: ExperimentReport) -> None:
+    """Copy sub's statistics and verdicts into rep, names prefixed."""
+    for s_ in sub.statistics:
+        rep.add(prefix + s_["name"], s_["value"], sub.verdicts[s_["name"]],
+                stderr=s_.get("stderr"), critical_value=s_.get("critical_value"))
+
+
 def run_marginal_check(
     kind: ens.EnsembleKind,
     t: float,
     n_samples: int,
     stream: RngStream,
-    n_bins: int = 20,
 ) -> ExperimentReport:
-    """Eigenvalue cloud of an ensemble vs its exact marginal (chi-square/KS);
-    for GUE additionally the top eigenvalue against rightmost_cdf."""
+    """Spectra of a Gaussian beta-ensemble (GUE/GOE/GSE distinct levels at
+    variance t, or the beta-tridiagonal model, static at t = 1) gated on their
+    exact moments; for GUE also the top eigenvalue against rightmost_cdf."""
     t0 = time.monotonic()
+    beta = {"gue": 2.0, "goe": 1.0, "gse": 4.0, "beta_tridiagonal": kind.beta}.get(kind.tag)
+    if beta is None:
+        raise RouteInapplicable("moment gates cover gue/goe/gse/beta_tridiagonal")
     rep = ExperimentReport(
         experiment_id=f"marginal-{kind.tag}-n{kind.n}",
         parameters={"tag": kind.tag, "n": kind.n, "t": t, "n_samples": n_samples,
@@ -310,55 +240,9 @@ def run_marginal_check(
         seed=stream.seed,
         streams=[stream.stream_id],
     )
-    if kind.tag == "beta_tridiagonal":
-        # compare against the matching dense Gaussian ensemble
-        dense_tag = {1.0: "goe", 2.0: "gue", 4.0: "gse"}.get(kind.beta)
-        if dense_tag is None:
-            raise RouteInapplicable("dense comparison needs beta in {1, 2, 4}")
-        lam = ens.sample_spectra(kind, 1.0, n_samples, stream).ravel()
-        dense = ens.sample_spectra(
-            ens.EnsembleKind(dense_tag, kind.n), 1.0, n_samples, stream, distinct=True
-        ).ravel()
-        ks = ks_statistic(lam, dense)
-        rep.add("ks_tridiag_vs_dense", ks.d, ks.passed, critical_value=ks.critical_1pct)
-        return _pin(rep, t0)
-    if kind.tag not in ("gue", "goe", "gse"):
-        raise RouteInapplicable("exact marginals cover gue/goe/gse/beta_tridiagonal")
-
     lam = ens.sample_spectra(kind, t, n_samples, stream, distinct=True)
-    pooled = lam.ravel()
-    span = 2.6 * math.sqrt(2.0 * kind.n * t)
-    if kind.n == 2:
-        def density2(a, b):
-            av, bv = np.broadcast_arrays(np.asarray(a, float), np.asarray(b, float))
-            out = np.empty(av.shape)
-            for i in np.ndindex(av.shape):
-                out[i] = ens.eigen_density_exact(
-                    kind, validate_chamber([av[i], bv[i]], Chamber.A), t
-                )
-            return out
-        zs = np.linspace(-span, span, 1200)
-        marg = pooled_marginal_2(density2, zs, -span, span)
-    elif kind.n == 3:
-        def density3(a, b, c):
-            av, bv, cv = np.broadcast_arrays(*(np.asarray(q, float) for q in (a, b, c)))
-            out = np.empty(av.shape)
-            for i in np.ndindex(av.shape):
-                out[i] = ens.eigen_density_exact(
-                    kind, validate_chamber([av[i], bv[i], cv[i]], Chamber.A), t
-                )
-            return out
-        zs = np.linspace(-span, span, 400)
-        marg = pooled_marginal_3(density3, zs, -span, span)
-    else:
-        raise RouteInapplicable("exact marginal tabulation implemented for N <= 3")
-
-    dens_interp = lambda x: np.interp(x, zs, marg)
-    edges, probs = equal_mass_bins(dens_interp, -span, span, n_bins)
-    inside = pooled[(pooled >= -span) & (pooled <= span)]
-    chi = chi2_statistic(inside, edges, probs)
-    rep.add("chi2_cloud", chi.statistic, chi.passed, critical_value=chi.critical_1pct)
-
+    t_eff = 1.0 if kind.tag == "beta_tridiagonal" else t
+    _moment_gate(rep, "moments", lam, _gaussian_moments(beta, kind.n, t_eff))
     if kind.tag == "gue":
         top = lam[:, -1]
         for alpha in (1.0, 2.0, 3.0):
@@ -367,9 +251,26 @@ def run_marginal_check(
             emp = float(np.mean(top <= a_s))
             se = math.sqrt(max(f * (1 - f), 1.0 / n_samples) / n_samples)
             rep.add(
-                f"rightmost_alpha_{alpha}", emp - f, abs(emp - f) <= 3.0 * se, stderr=se
+                f"rightmost_alpha_{alpha}", emp - f, abs(emp - f) <= _Z_CRIT * se, stderr=se
             )
     return _pin(rep, t0)
+
+
+def _kernel_moments(system: str, param: float, n: int, t: float) -> np.ndarray:
+    """(int x^2 K_N(x, x) dx, int x^4 K_N(x, x) dx) at time t by 200-point
+    Gauss-Legendre over the Gram diagonal; on the half-line the nodes are graded
+    as x = span u^4 toward the hard edge, where K_N(x, x) ~ x^(2 nu + 1).  Matches
+    the closed forms to <= 4e-14 relative for N <= 30, -0.9 <= nu <= 7.5."""
+    span = (3.0 * math.sqrt(n + (param if system == "bessel" else 0.0)) + 10.0) * math.sqrt(t)
+    if system == "dyson":
+        xs, ws = gl_nodes(200, -span, span)
+        kern = ker.hermite_kernel(n)
+    else:
+        u, wu = gl_nodes(200, 0.0, 1.0)
+        xs, ws = span * u ** 4, wu * 4.0 * span * u ** 3
+        kern = ker.laguerre_kernel(n, param)
+    mass = ws * np.diag(kern.equal_time_matrix(t, xs))
+    return np.array([np.dot(mass, xs ** 2), np.dot(mass, xs ** 4)])
 
 
 def run_equivalence_check(
@@ -378,7 +279,10 @@ def run_equivalence_check(
     params: dict,
     stream: RngStream,
 ) -> ExperimentReport:
-    """Cross-route marginal comparison among the routes sde, matrix and kernel."""
+    """The routes sde, matrix and kernel to the law at time t of the Dyson
+    (param beta) or Bessel (param nu) system from 0, each against the exact
+    moments: a moment gate on each drawn cloud, and for the kernel the
+    Gram-diagonal moments within 1e-12 relative."""
     t0 = time.monotonic()
     routes = (route_a, route_b)
     unknown = [r for r in routes if r not in ("sde", "matrix", "kernel")]
@@ -399,55 +303,41 @@ def run_equivalence_check(
         seed=stream.seed,
         streams=[stream.stream_id],
     )
-    grid = TimeGrid.of([t])
-
-    def matrix_cloud():
-        try:
-            lam = ens.origin_spectra(
-                system, param, n, t, max(n_samples * 8, 50_000), stream
-            )
-        except DomainError as exc:
-            raise RouteInapplicable(f"no matrix route for {system} at {param}") from exc
-        return lam.ravel()
-
-    def sde_cloud():
-        dt_max = float(params.get("dt_max", 1e-3))
-        cloud = sdemod.dyson_cloud if system == "dyson" else sdemod.bessel_cloud
-        return cloud(param, [0.0] * n, grid, stream, dt_max, n_samples)[:, 0, :].ravel()
-
+    exact = (_gaussian_moments if system == "dyson" else _laguerre_moments)(param, n, t)
     # caller order fixes which cloud draws from the shared stream first
-    clouds = {}
     for r in routes:
-        if r in ("sde", "matrix"):
-            clouds[r] = matrix_cloud() if r == "matrix" else sde_cloud()
-
-    if "kernel" in routes:
-        other = route_b if route_a == "kernel" else route_a
-        sample = clouds[other]
-        if system == "dyson":
-            kern = ker.hermite_kernel(n)
-            span = 2.6 * math.sqrt(2.0 * n * t)
-            lo = -span
+        if r == "matrix":
+            try:
+                lam = ens.origin_spectra(system, param, n, t, n_samples, stream)
+            except DomainError as exc:
+                raise RouteInapplicable(f"no matrix route for {system} at {param}") from exc
+            _moment_gate(rep, "moments_matrix", lam, exact)
+        elif r == "sde":
+            cloud = sdemod.dyson_cloud if system == "dyson" else sdemod.bessel_cloud
+            lam = cloud(param, [0.0] * n, TimeGrid.of([t]), stream,
+                        float(params.get("dt_max", 1e-3)), n_samples)[:, 0, :]
+            _moment_gate(rep, "moments_sde", lam, exact)
         else:
-            kern = ker.laguerre_kernel(n, param)
-            span = 2.2 * math.sqrt(2.0 * n * t) + 2.0
-            lo = 0.0
-        zs = np.linspace(lo, span, 1500)
-        rho = np.array([kern.evaluate(t, z, t, z) for z in zs]) / n
-        edges, probs = equal_mass_bins(lambda x: np.interp(x, zs, rho), lo, span, 20)
-        inside = sample[(sample >= lo) & (sample <= span)]
-        chi = chi2_statistic(inside, edges, probs)
-        rep.add(
-            f"chi2_{other}_vs_kernel", chi.statistic, chi.passed,
-            critical_value=chi.critical_1pct,
-        )
-    else:
-        ks = ks_statistic(clouds[route_a], clouds[route_b])
-        rep.add(
-            f"ks_{route_a}_vs_{route_b}", ks.d, ks.passed,
-            critical_value=ks.critical_1pct,
-        )
+            err = float(np.max(np.abs(_kernel_moments(system, param, n, t) / exact - 1.0)))
+            rep.add("moments_kernel", err, err <= 1e-12)
     return _pin(rep, t0)
+
+
+def _gnt_origin_moments(n: int, T: float, t: float) -> np.ndarray:
+    """(E p_2, E p_4) under g_NT_origin at 0 < t < T by a 96-point-per-axis ordered
+    tensor quadrature of the density over |y| < 8 sqrt t + 2 sqrt(N t).  At N = 2
+    it matches the closed form to <= 3e-15 relative for 1e-3 T <= t <= 0.99 T
+    and 3.1e-13 at t = 0.999 T, where the survival factor's boundary layer of
+    width sqrt(T - t) starts to need more nodes; 48 nodes read 5e-9 at t = 0.05 T."""
+    h = 8.0 * math.sqrt(t) + 2.0 * math.sqrt(n * t)
+    pts, w = km._ordered_tensor_grid(96, -h, h, n)
+    log_pref = (0.25 * n * (n - 1) * math.log(T) - 0.5 * n * n * math.log(t)
+                - km.constants(n).log_c2)
+    vand = np.prod([pts[:, j] - pts[:, i] for i in range(n) for j in range(i + 1, n)], axis=0)
+    x2 = pts * pts
+    mass = (w * km._survival_pf(T - t, pts)[0] * vand
+            * np.exp(log_pref - x2.sum(axis=1) / (2.0 * t)))
+    return np.array([np.dot(mass, x2.sum(axis=1)), np.dot(mass, (x2 * x2).sum(axis=1))])
 
 
 def run_bridge_check(
@@ -456,13 +346,15 @@ def run_bridge_check(
     times: Sequence[float],
     n_samples: int,
     stream: RngStream,
-    n_bins: int = 20,
 ) -> ExperimentReport:
-    """GUE-to-GOE bridge spectra vs g^GOE (t = T), g_NT_origin (interior t),
-    and a GUE cloud (t << T)."""
+    """GUE-to-GOE bridge spectra gated on their exact moments at every time
+    0 < t <= T; at interior times also the moments of g_NT_origin, the density
+    of N noncolliding Brownian motions from 0 conditioned to survive to T, by
+    quadrature against the same closed form (within 1e-12 relative, which holds
+    for t <= 0.999 T)."""
     t0 = time.monotonic()
     if n != 2:
-        raise RouteInapplicable("analytic bridge marginals implemented for N = 2")
+        raise RouteInapplicable("the g_NT_origin quadrature is implemented for N = 2")
     rep = ExperimentReport(
         experiment_id=f"bridge-n{n}-T{T}",
         parameters={"n": n, "T": T, "times": list(times), "n_samples": n_samples},
@@ -473,55 +365,19 @@ def run_bridge_check(
     spectra = ens.sample_path_spectra(
         ens.EnsembleKind("gue_to_goe", n, horizon=T), grid, n_samples, stream
     )
-
     for k, tt in enumerate(grid.times):
-        lam = spectra[:, k, :]
-        pooled = lam.ravel()
-        span = 2.6 * math.sqrt(2.0 * n * max(tt, 0.05)) + 1.0
-        if abs(tt - T) < 1e-12:
-            def density2(a, b):
-                av, bv = np.broadcast_arrays(np.asarray(a, float), np.asarray(b, float))
-                h = bv - av
-                return (
-                    T ** (-n * (n + 1) / 4.0)
-                    / math.exp(km.constants(n).log_c2)
-                    * h
-                    * np.exp(-(av * av + bv * bv) / (2.0 * T))
-                )
-            zs = np.linspace(-span, span, 1000)
-            marg = pooled_marginal_2(density2, zs, -span, span)
-            edges, probs = equal_mass_bins(lambda x: np.interp(x, zs, marg), -span, span, n_bins)
-            chi = chi2_statistic(pooled, edges, probs)
-            rep.add("chi2_goe_at_T", chi.statistic, chi.passed, critical_value=chi.critical_1pct)
-        elif tt <= 0.1 * T:
-            gue = ens.sample_spectra(ens.EnsembleKind("gue", n), tt, n_samples, stream).ravel()
-            ks = ks_statistic(pooled, gue)
-            rep.add("ks_gue_regime", ks.d, ks.passed, critical_value=ks.critical_1pct)
-        else:
-            log_c2 = km.constants(n).log_c2
-            pref = math.exp(
-                0.25 * n * (n - 1) * math.log(T) - 0.5 * n * n * math.log(tt) - log_c2
-            )
-            def density2(a, b):
-                av, bv = np.broadcast_arrays(np.asarray(a, float), np.asarray(b, float))
-                surv = km._survival_pf(T - tt, np.stack([av, bv], axis=-1).reshape(-1, 2))[0]
-                surv = surv.reshape(av.shape)
-                return pref * surv * (bv - av) * np.exp(-(av * av + bv * bv) / (2.0 * tt))
-            zs = np.linspace(-span, span, 1000)
-            marg = pooled_marginal_2(density2, zs, -span, span)
-            edges, probs = equal_mass_bins(lambda x: np.interp(x, zs, marg), -span, span, n_bins)
-            chi = chi2_statistic(pooled, edges, probs)
-            rep.add(
-                f"chi2_gnt_origin_t{tt}", chi.statistic, chi.passed,
-                critical_value=chi.critical_1pct,
-            )
+        exact = _bridge_moments(n, tt, tt * (T - tt) / T)
+        _moment_gate(rep, f"moments_t{tt}", spectra[:, k, :], exact)
+        if tt < T:
+            err = float(np.max(np.abs(_gnt_origin_moments(n, T, tt) / exact - 1.0)))
+            rep.add(f"gnt_origin_moments_t{tt}", err, err <= 1e-12)
     return _pin(rep, t0)
 
 
 def run_hc_check(
     sizes: Sequence[int], sigma: float, n_mc: int, stream: RngStream
 ) -> ExperimentReport:
-    """Harish-Chandra identity: exact at N = 1, 3-sigma MC gates at N >= 2."""
+    """Harish-Chandra identity: exact at N = 1, Monte Carlo z-gates at N >= 2."""
     t0 = time.monotonic()
     rep = ExperimentReport(
         experiment_id="harish-chandra",
@@ -537,7 +393,7 @@ def run_hc_check(
             ok = abs(r.lhs_mc - r.rhs_exact) <= 1e-12
             rep.add("hc_n1_exact", r.lhs_mc - r.rhs_exact, ok)
         else:
-            ok = r.deviation_sigmas <= 3.0
+            ok = r.deviation_sigmas <= _Z_CRIT
             rep.add(f"hc_n{n}_dev_sigmas", r.deviation_sigmas, ok, stderr=r.lhs_stderr)
     return _pin(rep, t0)
 
@@ -703,21 +559,17 @@ def _suite_ensembles(seed: int) -> ExperimentReport:
         scale = np.max(lam, axis=1)
         rep.add(f"{tag}_nonneg", float(np.min(lam / scale[:, None])),
                 bool(np.min(lam) >= -1e-10 * np.max(scale)))
-    # GUE moment: E Tr H^2 = N^2 t
     s2 = RngStream(seed, 201)
     spec = ens.sample_spectra(ens.EnsembleKind("gue", 2), 1.0, 100_000, s2)
-    tr2 = np.sum(spec**2, axis=1)
-    se = float(tr2.std() / math.sqrt(len(tr2)))
-    rep.add("gue_tr2_moment", float(tr2.mean()) - 4.0, abs(tr2.mean() - 4.0) <= 3 * se, stderr=se)
-    # beta-tridiagonal vs dense, beta in {1, 2, 4}
+    _moment_gate(rep, "gue2_moments", spec, _gaussian_moments(2.0, 2, 1.0))
+    # beta-tridiagonal and dense N = 8 spectra, beta in {1, 2, 4}
     s3 = RngStream(seed, 202)
     for beta, tag in ((1.0, "goe"), (2.0, "gue"), (4.0, "gse")):
-        a = ens.sample_spectra(
-            ens.EnsembleKind("beta_tridiagonal", 8, beta=beta), 1.0, 10_000, s3
-        ).ravel()
-        b = ens.sample_spectra(ens.EnsembleKind(tag, 8), 1.0, 10_000, s3, distinct=True).ravel()
-        ks = ks_statistic(a, b)
-        rep.add(f"tridiag_beta{beta}_ks", ks.d, ks.passed, critical_value=ks.critical_1pct)
+        exact = _gaussian_moments(beta, 8, 1.0)
+        a = ens.sample_spectra(ens.EnsembleKind("beta_tridiagonal", 8, beta=beta), 1.0, 10_000, s3)
+        _moment_gate(rep, f"tridiag_beta{beta}_moments", a, exact)
+        b = ens.sample_spectra(ens.EnsembleKind(tag, 8), 1.0, 10_000, s3, distinct=True)
+        _moment_gate(rep, f"{tag}8_moments", b, exact)
     # Ginibre circular-law second moment: E|z|^2 / N -> 1/2
     g = ens.sample_matrix(ens.EnsembleKind("ginibre", 64), 1.0, s3)
     z = np.linalg.eigvals(g.entries)
@@ -732,37 +584,24 @@ def _suite_sde(seed: int, dt_max: float = 1e-3) -> ExperimentReport:
         experiment_id="suite-sde", parameters={"dt_max": dt_max}, seed=seed,
         streams=[300, 301, 302, 303],
     )
-    r1 = run_equivalence_check(
-        "sde", "matrix",
-        {"system": "dyson", "beta": 2.0, "n": 2, "t": 1.0, "n_samples": 10_000,
-         "dt_max": dt_max},
-        RngStream(seed, 300),
-    )
-    for s_ in r1.statistics:
-        rep.add("dyson_" + s_["name"], s_["value"], r1.verdicts[s_["name"]],
-                critical_value=s_.get("critical_value"))
-    r2 = run_equivalence_check(
-        "sde", "matrix",
-        {"system": "bessel", "nu": 0.0, "n": 2, "t": 1.0, "n_samples": 8_000,
-         "dt_max": dt_max},
-        RngStream(seed, 301),
-    )
-    for s_ in r2.statistics:
-        rep.add("bessel_" + s_["name"], s_["value"], r2.verdicts[s_["name"]],
-                critical_value=s_.get("critical_value"))
-    # N=1 free case: Var X(1) = 1
+    for prefix, law, n_samples, stream_id in (
+        ("dyson_", {"system": "dyson", "beta": 2.0}, 10_000, 300),
+        ("bessel_", {"system": "bessel", "nu": 0.0}, 8_000, 301),
+    ):
+        params = {**law, "n": 2, "t": 1.0, "n_samples": n_samples, "dt_max": dt_max}
+        _merge(rep, prefix,
+               run_equivalence_check("sde", "matrix", params, RngStream(seed, stream_id)))
+    # N = 1 free case: X(1) ~ N(0, 1)
     cloud = sdemod.dyson_cloud(2.0, [0.0], TimeGrid.of([1.0]), RngStream(seed, 302),
                                dt_max, 10_000)
-    v = float(cloud[:, 0, 0].var())
-    se = v * math.sqrt(2.0 / len(cloud))
-    rep.add("dyson_n1_var", v - 1.0, abs(v - 1.0) <= 3 * se, stderr=se)
+    _moment_gate(rep, "dyson_n1_moments", cloud[:, 0, :], _gaussian_moments(2.0, 1, 1.0))
     # step halving moves the top-particle mean by less than MC error
     x0 = validate_chamber([-0.5, 0.5], Chamber.A)
     a = sdemod.dyson_cloud(2.0, x0, TimeGrid.of([1.0]), RngStream(seed, 303), dt_max, 4000)
     b = sdemod.dyson_cloud(2.0, x0, TimeGrid.of([1.0]), RngStream(seed, 303), dt_max / 2, 4000)
     ma, mb = a[:, 0, 1].mean(), b[:, 0, 1].mean()
     se = math.hypot(a[:, 0, 1].std(), b[:, 0, 1].std()) / math.sqrt(4000)
-    rep.add("step_halving", float(ma - mb), abs(ma - mb) <= 3 * se, stderr=se)
+    rep.add("step_halving", float(ma - mb), abs(ma - mb) <= _Z_CRIT * se, stderr=se)
     return _pin(rep, t0)
 
 
@@ -868,20 +707,12 @@ def _suite_marginals(seed: int) -> ExperimentReport:
     rep = ExperimentReport(
         experiment_id="suite-marginals", parameters={}, seed=seed, streams=[600, 601, 602]
     )
-    r = run_marginal_check(ens.EnsembleKind("gue", 2), 1.0, 20_000, RngStream(seed, 600))
-    for s_ in r.statistics:
-        rep.add("gue2_" + s_["name"], s_["value"], r.verdicts[s_["name"]],
-                stderr=s_.get("stderr"), critical_value=s_.get("critical_value"))
-    r = run_marginal_check(ens.EnsembleKind("goe", 3), 1.0, 20_000, RngStream(seed, 601))
-    for s_ in r.statistics:
-        rep.add("goe3_" + s_["name"], s_["value"], r.verdicts[s_["name"]],
-                stderr=s_.get("stderr"), critical_value=s_.get("critical_value"))
-    r = run_marginal_check(
-        ens.EnsembleKind("beta_tridiagonal", 4, beta=4.0), 1.0, 10_000, RngStream(seed, 602)
-    )
-    for s_ in r.statistics:
-        rep.add("tridiag4_" + s_["name"], s_["value"], r.verdicts[s_["name"]],
-                stderr=s_.get("stderr"), critical_value=s_.get("critical_value"))
+    for prefix, kind, n_samples, stream_id in (
+        ("gue2_", ens.EnsembleKind("gue", 2), 20_000, 600),
+        ("goe3_", ens.EnsembleKind("goe", 3), 20_000, 601),
+        ("tridiag4_", ens.EnsembleKind("beta_tridiagonal", 4, beta=4.0), 10_000, 602),
+    ):
+        _merge(rep, prefix, run_marginal_check(kind, 1.0, n_samples, RngStream(seed, stream_id)))
     return _pin(rep, t0)
 
 
@@ -901,12 +732,7 @@ SUITES = {
 def run_suite(name: str, seed: int, **overrides) -> list[ExperimentReport]:
     """Run one named verification suite (or 'all'); returns its reports."""
     if name == "all":
-        out = []
-        for key, fn in SUITES.items():
-            out.append(fn(seed, **overrides) if key == "sde" else fn(seed))
-        return out
+        return [fn(seed, **overrides) if key == "sde" else fn(seed) for key, fn in SUITES.items()]
     if name not in SUITES:
         raise DomainError(f"unknown suite {name!r}; options: {sorted(SUITES)} or 'all'")
-    if name == "sde":
-        return [SUITES[name](seed, **overrides)]
-    return [SUITES[name](seed)]
+    return [SUITES[name](seed, **overrides)]

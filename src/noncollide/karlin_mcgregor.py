@@ -318,10 +318,9 @@ def _constants(n: int, nu: float, kappa: float) -> NormalizationConstants:
 
 @dataclass(frozen=True)
 class SurvivalEstimate:
-    """Noncollision probability with its standard error (0 for closed forms)."""
+    """Noncollision probability and the route that gave it ("exact" or "pfaffian")."""
 
     value: float
-    stderr: float
     method: str
 
     def __float__(self) -> float:
@@ -398,7 +397,7 @@ def _pfaffian_estimate(name: str, val: np.ndarray, est: np.ndarray) -> SurvivalE
     if not est[0] <= _SURVIVAL_RTOL:
         warnings.warn(f"{name}: estimated relative error {est[0]:.1e} (gaps small against sqrt t)",
                       AccuracyLossWarning, stacklevel=3)
-    return SurvivalEstimate(float(val[0]), 0.0, "pfaffian")
+    return SurvivalEstimate(float(val[0]), "pfaffian")
 
 
 def _survival_pf(t: float, x_pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -413,7 +412,7 @@ def survival_n(t: float, x: OrderedConfiguration) -> SurvivalEstimate:
     """Probability N_N(t, x) that N Brownian motions from x stay ordered on [0, t].
 
     Closed form for every N: de Bruijn's Pfaffian of erf((x_j - x_i) / 2 sqrt t)
-    (:func:`_survival_pf`), method ``"pfaffian"``, stderr 0.  Contract: the
+    (:func:`_survival_pf`), method ``"pfaffian"``.  Contract: the
     relative error is at most 1e-8 unless an :class:`AccuracyLossWarning`
     carrying the estimated relative error is emitted.  The estimate bounded
     the actual error against 50-digit arithmetic wherever it was checked
@@ -426,7 +425,7 @@ def survival_n(t: float, x: OrderedConfiguration) -> SurvivalEstimate:
     if t < 0.0:
         raise NonPositiveTime("t must be nonnegative")
     if t == 0.0 or x.n == 1:
-        return SurvivalEstimate(1.0, 0.0, "exact")
+        return SurvivalEstimate(1.0, "exact")
     return _pfaffian_estimate("survival_n", *_survival_pf(t, x.as_array()[None, :]))
 
 
@@ -624,7 +623,7 @@ def nn_tilde(nu: float, kappa: float, t: float, x: OrderedConfiguration) -> Surv
     """Weighted survival N~^(nu,kappa)(t, x) = E_x[prod Y_i(t)^-kappa; no collision on [0, t]].
 
     Closed form for every N: de Bruijn's Pfaffian of 2-D integrals (:func:`_nn_tilde_pf`),
-    method ``"pfaffian"``, stderr 0.  Contract, as for :func:`survival_n`: the relative
+    method ``"pfaffian"``.  Contract, as for :func:`survival_n`: the relative
     error is at most 1e-8 unless an :class:`AccuracyLossWarning` carrying the estimated
     relative error is emitted; N = 8 at spacing sqrt(t) / 2 warns.  The estimate takes the
     entries as exact to the double epsilon: over 150 starts (N <= 8, gaps 0.002 to 0.6 sqrt t)
@@ -641,7 +640,7 @@ def nn_tilde(nu: float, kappa: float, t: float, x: OrderedConfiguration) -> Surv
     if t < 0.0:
         raise NonPositiveTime("t must be nonnegative")
     if t == 0.0:
-        return SurvivalEstimate(float(np.prod(xv ** (-kappa))), 0.0, "exact")
+        return SurvivalEstimate(float(np.prod(xv ** (-kappa))), "exact")
     return _pfaffian_estimate("nn_tilde", *_nn_tilde_pf(nu, kappa, t, xv[None, :]))
 
 

@@ -6,7 +6,9 @@ the open chamber is discarded (noise included) and retried with half the
 step, down to dt_max / 2**10.  Discarding the noise biases the law, and
 the bias is large at moderate steps: for beta = 2, N = 2 started at
 (-0.01, 0.01), E gap^2(1) is exactly 6.0004, and 40k paths give 7.03 at
-dt_max = 1e-2, 6.060 at 2e-3 and 6.019 at 1e-3.  Starts from the all-zero
+dt_max = 1e-2, 6.060 at 2e-3 and 6.019 at 1e-3.  The Bessel system is biased
+even from the origin: at nu = 0, N = 2, E sum X^2(1) is exactly 8, and 40k
+paths give 8.072 (z = 3.6) at dt_max = 1e-3.  Starts from the all-zero
 configuration are bootstrapped by one exact ensemble sample
 (``ensembles.origin_spectra``), since no Euler step can split coinciding
 particles correctly.

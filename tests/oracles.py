@@ -79,6 +79,28 @@ def two_sample_ks(a, b) -> tuple[float, float]:
     return d, 1.628 * math.sqrt((n + m) / (n * m))
 
 
+CHI2_CRIT_19DOF_1PCT = 36.191  # upper 1% point of chi-square with 19 degrees of freedom
+
+
+def equal_mass_bins(density, lo: float, hi: float, n_bins: int, grid_size: int = 2000):
+    """(edges, probs) of n_bins bins of equal trapezoid mass under density on [lo, hi]."""
+    xs = np.linspace(lo, hi, grid_size)
+    vals = density(xs)
+    cum = np.concatenate([[0.0], np.cumsum((vals[1:] + vals[:-1]) / 2.0 * np.diff(xs))])
+    edges = np.interp(np.linspace(0.0, cum[-1], n_bins + 1), cum, xs)
+    edges[0], edges[-1] = lo, hi
+    return edges, np.full(n_bins, 1.0 / n_bins)
+
+
+def chi2_statistic(sample, bin_edges, expected_probs) -> float:
+    """Pearson's binned chi-square of sample against bin probabilities."""
+    counts, _ = np.histogram(np.asarray(sample, dtype=float), bins=bin_edges)
+    exp = np.asarray(expected_probs) * counts.sum()
+    if np.any(exp < 5.0):
+        raise ValueError("expected counts too small; rebin")
+    return float(np.sum((counts - exp) ** 2 / exp))
+
+
 def hermite_phi_decimal(n: int, x: float, digits: int = 40) -> float:
     """phi_n(x) through the same recurrence in Decimal arithmetic.
 

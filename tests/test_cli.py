@@ -145,6 +145,12 @@ def test_verify_sde_dt_override(tmp_path):
     assert rc == 0
 
 
+def test_verify_dt_max_rejected_without_sde(capsys):
+    rc = run_cli(["verify", "--suite", "fredholm", "--seed", "0", "--dt-max", "0.5"])
+    assert rc == 2
+    assert "--suite fredholm" in capsys.readouterr().err
+
+
 def test_env_seed_default(tmp_path, monkeypatch):
     monkeypatch.setenv("NONCOLLIDE_SEED", "99")
     out = tmp_path / "s.csv"

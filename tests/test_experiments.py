@@ -9,61 +9,83 @@ import pytest
 
 from noncollide import ensembles as ens
 from noncollide import experiments as ex
-from noncollide.core import RngStream
+from noncollide import karlin_mcgregor as km
+from noncollide.core import Chamber, RngStream, validate_chamber
 from noncollide.errors import RouteInapplicable
 
 
-def test_ks_identical_samples():
-    a = np.linspace(0, 1, 50)
-    r = ex.ks_statistic(a, a.copy())
-    assert r.d == 0.0
+def _ordered_moments(density, pts, w):
+    """(int p_2 f, int p_4 f) over an ordered grid of configurations."""
+    f = np.array([density(p) for p in pts])
+    x2 = pts * pts
+    return np.array([np.dot(w * f, x2.sum(axis=1)), np.dot(w * f, (x2 * x2).sum(axis=1))])
 
 
-def test_ks_vs_own_ecdf():
-    a = np.sort(RngStream(1, 0).normal(200))
-
-    def ecdf(x):
-        return np.searchsorted(a, x, side="right") / len(a)
-
-    r = ex.ks_statistic(a, ecdf)
-    assert r.d <= 1.0 / len(a) + 1e-12
-
-
-def test_ks_gaussian_sample():
-    a = RngStream(2, 0).normal(10_000)
-    cdf = lambda x: 0.5 * (1 + math.erf(x / math.sqrt(2)))
-    r = ex.ks_statistic(a, cdf)
-    assert r.critical_1pct == pytest.approx(1.628 / 100.0, rel=1e-12)
-    assert r.passed
+@pytest.mark.parametrize("tag,beta,n", [
+    ("gue", 2.0, 1), ("gue", 2.0, 2), ("gue", 2.0, 3), ("goe", 1.0, 2), ("goe", 1.0, 3),
+    ("gse", 4.0, 2), ("gse", 4.0, 3),
+])
+def test_gaussian_moments_vs_eigen_density(tag, beta, n):
+    # 64 nodes per axis: N = 3 reads <= 4.7e-12 (GOE), against 2e-9 at 56 nodes
+    t = 0.7
+    kind = ens.EnsembleKind(tag, n)
+    h = (2.0 * math.sqrt(n) + 8.0) * math.sqrt(t)
+    pts, w = km._ordered_tensor_grid(64, -h, h, n)
+    got = _ordered_moments(
+        lambda p: ens.eigen_density_exact(kind, validate_chamber(p, Chamber.A), t), pts, w
+    )
+    assert np.max(np.abs(got / ex._gaussian_moments(beta, n, t) - 1.0)) <= 1e-10
 
 
-def test_gamma_q_and_chi2_critical():
-    # Q(1/2, x/2) = erfc(sqrt(x/2)): chi-square dof 1
-    for x in (0.5, 2.0, 5.0):
-        assert ex._gamma_q(0.5, x / 2) == pytest.approx(
-            math.erfc(math.sqrt(x / 2)), rel=1e-10
-        )
-    # textbook 1% critical values
-    assert ex.chi2_critical(19) == pytest.approx(36.191, abs=2e-3)
-    assert ex.chi2_critical(9) == pytest.approx(21.666, abs=2e-3)
+def test_gaussian_moments_harer_zagier_integers():
+    for n in range(1, 9):
+        assert ex._gaussian_moments(2.0, n, 1.0) == (n * n, 2 * n ** 3 + n)
 
 
-def test_chi2_statistic_on_uniform():
-    vals = RngStream(3, 0).uniform(5000)
-    edges = np.linspace(0, 1, 21)
-    r = ex.chi2_statistic(vals, edges, np.full(20, 0.05))
-    assert r.dof == 19
-    assert r.passed
+@pytest.mark.parametrize("nu", [0.0, 0.5, -0.5, 2.3])
+def test_laguerre_moments_vs_p_n_nu_origin(nu):
+    # ordered grid on (0, 1)^2 mapped by x = h u^4, which flattens the x^(2 nu + 1) edge;
+    # 96 nodes per axis read <= 4.9e-15, 48 nodes 3.7e-8 (nu = 2.3)
+    t = 0.7
+    h = 18.0 * math.sqrt(t)
+    u, wu = km._ordered_tensor_grid(96, 0.0, 1.0, 2)
+    pts = h * u ** 4
+    w = wu * np.prod(4.0 * h * u ** 3, axis=1)
+    got = _ordered_moments(
+        lambda p: km.p_n_nu_origin(nu, t, validate_chamber(p, Chamber.C)), pts, w
+    )
+    assert np.max(np.abs(got / ex._laguerre_moments(nu, 2, t) - 1.0)) <= 1e-12
 
 
-def test_equal_mass_bins():
-    dens = lambda x: np.exp(-x * x / 2) / math.sqrt(2 * math.pi)
-    edges, probs = ex.equal_mass_bins(dens, -8, 8, 10)
-    assert len(edges) == 11
-    assert np.all(np.diff(edges) > 0)
-    assert probs.sum() == pytest.approx(1.0, abs=1e-12)
-    # median edge at 0 by symmetry
-    assert abs(edges[5]) <= 1e-6
+def test_bridge_moments_end_at_goe_and_gue():
+    for n in range(1, 9):
+        for t in (0.25, 1.0, 3.0):
+            assert ex._bridge_moments(n, t, 0.0) == ex._gaussian_moments(1.0, n, t)
+            assert ex._bridge_moments(n, t, t) == ex._gaussian_moments(2.0, n, t)
+
+
+def test_moment_gate_statistic():
+    levels = np.array([[0.5, -1.0], [2.0, 0.0], [-1.5, 1.0], [0.0, 0.3], [1.0, 1.0]])
+    exact = (3.0, 9.0)
+    p2 = np.sum(levels ** 2, axis=1)
+    p4 = np.sum(levels ** 4, axis=1)
+    d2, d4 = p2.mean() - exact[0], p4.mean() - exact[1]
+    s22, s44 = p2.var(ddof=1), p4.var(ddof=1)
+    s24 = np.sum((p2 - p2.mean()) * (p4 - p4.mean())) / 4.0
+    by_hand = 5.0 * (s44 * d2 * d2 - 2.0 * s24 * d2 * d4 + s22 * d4 * d4) / (s22 * s44 - s24 ** 2)
+    rep = ex.ExperimentReport(experiment_id="x", parameters={}, seed=0, streams=[])
+    ex._moment_gate(rep, "g", levels, exact)
+    assert rep.statistics[0]["value"] == pytest.approx(by_hand, rel=1e-12)
+    assert rep.statistics[0]["critical_value"] == pytest.approx(18.420680743952364, rel=1e-15)
+    assert rep.verdicts["g"] == (by_hand <= 18.420680743952364)
+    # the scalar gates use the two-sided normal point at the same level
+    assert math.erfc(ex._Z_CRIT / math.sqrt(2.0)) == pytest.approx(1e-4, rel=1e-6)
+
+
+def test_run_marginal_any_beta_and_size():
+    for kind in (ens.EnsembleKind("beta_tridiagonal", 4, beta=3.0), ens.EnsembleKind("gue", 5)):
+        rep = ex.run_marginal_check(kind, 1.0, 4000, RngStream(17, 0))
+        assert rep.passed and "moments" in rep.verdicts
 
 
 def test_report_roundtrip():

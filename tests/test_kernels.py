@@ -9,6 +9,7 @@ from noncollide._quad import gl_nodes
 from noncollide.core import RngStream
 from noncollide.errors import AccuracyLossWarning, DomainError, SizeLimit
 from oracles import (
+    CHI2_CRIT_19DOF_1PCT,
     glaguerre_rule,
     hermite_phi_decimal,
     integrate,
@@ -454,8 +455,7 @@ def test_rho1_matches_gue_histogram():
     counts, _ = np.histogram(pooled[(pooled > -span) & (pooled < span)], bins=edges)
     exp = counts.sum() / 20.0
     chi2 = float(np.sum((counts - exp) ** 2 / exp))
-    from noncollide.experiments import chi2_critical
-    assert chi2 <= chi2_critical(19)
+    assert chi2 <= CHI2_CRIT_19DOF_1PCT
 
 
 def test_rho1_matches_class_c_histogram():
@@ -474,8 +474,7 @@ def test_rho1_matches_class_c_histogram():
     counts, _ = np.histogram(pooled[pooled < span], bins=edges)
     exp = counts.sum() / 20.0
     chi2 = float(np.sum((counts - exp) ** 2 / exp))
-    from noncollide.experiments import chi2_critical
-    assert chi2 <= chi2_critical(19)
+    assert chi2 <= CHI2_CRIT_19DOF_1PCT
 
 
 def test_multitime_correlation_vs_path_mc():
