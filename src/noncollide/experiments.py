@@ -7,14 +7,14 @@ A sampler route draws P configurations of N levels; its moment gate takes the
 per-draw power sums (p_2, p_4), p_k = sum_i x_i^k, their sample mean minus the
 exact (E p_2, E p_4) as d and their sample covariance as S, and rejects when
 chi2 = P d^T S^-1 d exceeds the chi-square(2) point -2 ln alpha = 18.42.  The
-scalar z-statistics (rightmost-particle CDF, Harish-Chandra, step halving)
-reject when |z| exceeds the two-sided normal point 3.891.  About 24 such
-verdicts run in ``verify --suite all``, so a correct sampler fails the whole
-suite on at most about 0.25 % of seeds.  Powers above 4 are left out: with
-p_6 added, a chi-square(3) gate on 20k GOE N = 3 spectra exceeded its nominal
-1e-3 point in 6 of 2000 runs, this gate in 1.  Deterministic verdicts compare
-a quadrature with a closed form under a bound set from the quadrature's
-measured convergence.
+scalar z-statistics (rightmost-particle CDF, Harish-Chandra, step halving,
+the fixed-start Dyson second moment) reject when |z| exceeds the two-sided
+normal point 3.891.  About 25 such verdicts run in ``verify --suite all``,
+so a correct sampler fails the whole suite on at most about 0.25 % of seeds.
+Powers above 4 are left out: with p_6 added, a chi-square(3) gate on 20k GOE
+N = 3 spectra exceeded its nominal 1e-3 point in 6 of 2000 runs, this gate
+in 1.  Deterministic verdicts compare a quadrature with a closed form under
+a bound set from the quadrature's measured convergence.
 """
 
 from __future__ import annotations
@@ -582,7 +582,7 @@ def _suite_sde(seed: int, dt_max: float = 1e-3) -> ExperimentReport:
     t0 = time.monotonic()
     rep = ExperimentReport(
         experiment_id="suite-sde", parameters={"dt_max": dt_max}, seed=seed,
-        streams=[300, 301, 302, 303],
+        streams=[300, 301, 302, 303, 304, 305],
     )
     for prefix, law, n_samples, stream_id in (
         ("dyson_", {"system": "dyson", "beta": 2.0}, 10_000, 300),
@@ -595,13 +595,23 @@ def _suite_sde(seed: int, dt_max: float = 1e-3) -> ExperimentReport:
     cloud = sdemod.dyson_cloud(2.0, [0.0], TimeGrid.of([1.0]), RngStream(seed, 302),
                                dt_max, 10_000)
     _moment_gate(rep, "dyson_n1_moments", cloud[:, 0, :], _gaussian_moments(2.0, 1, 1.0))
-    # step halving moves the top-particle mean by less than MC error
+    # step halving moves the top-particle mean by less than MC error; the two
+    # clouds come from independent streams, as the stderr assumes
     x0 = validate_chamber([-0.5, 0.5], Chamber.A)
     a = sdemod.dyson_cloud(2.0, x0, TimeGrid.of([1.0]), RngStream(seed, 303), dt_max, 4000)
-    b = sdemod.dyson_cloud(2.0, x0, TimeGrid.of([1.0]), RngStream(seed, 303), dt_max / 2, 4000)
+    b = sdemod.dyson_cloud(2.0, x0, TimeGrid.of([1.0]), RngStream(seed, 304), dt_max / 2, 4000)
     ma, mb = a[:, 0, 1].mean(), b[:, 0, 1].mean()
     se = math.hypot(a[:, 0, 1].std(), b[:, 0, 1].std()) / math.sqrt(4000)
     rep.add("step_halving", float(ma - mb), abs(ma - mb) <= _Z_CRIT * se, stderr=se)
+    # a start near the wall shows the step bias the zero-start gates cannot:
+    # E sum x_i^2(t) = sum x_i(0)^2 + (N + beta N(N-1)/2) t
+    x0 = np.array([-0.01, 0.01])
+    cloud = sdemod.dyson_cloud(2.0, validate_chamber(x0, Chamber.A), TimeGrid.of([1.0]),
+                               RngStream(seed, 305), dt_max, 10_000)
+    p2 = np.sum(cloud[:, 0, :] ** 2, axis=1)
+    d = float(p2.mean()) - (float(x0 @ x0) + 4.0)  # N + beta N(N-1)/2 = 4 at N = beta = 2
+    se = float(p2.std()) / math.sqrt(len(p2))
+    rep.add("dyson_fixed_start_p2", d, abs(d) <= _Z_CRIT * se, stderr=se)
     return _pin(rep, t0)
 
 

@@ -12,6 +12,13 @@ paths give 8.072 (z = 3.6) at dt_max = 1e-3.  Starts from the all-zero
 configuration are bootstrapped by one exact ensemble sample
 (``ensembles.origin_spectra``), since no Euler step can split coinciding
 particles correctly.
+
+Cost model: each proposal, accepted or not, costs one drift evaluation and
+one Gaussian draw of its (P, N) shape.  The drift travels with the state:
+the validity check evaluates it at the proposal, and the next step from an
+accepted state reuses that value, so only the start of each output segment
+adds an evaluation.  One evaluation is O(P N^2) work on a (P, N, N) array of
+pairwise inverse differences.
 """
 
 from __future__ import annotations
@@ -44,35 +51,67 @@ class SdeRun:
     step_stats: dict = field(default_factory=dict)
 
 
+def _fold_columns(a: np.ndarray, op: np.ufunc) -> np.ndarray:
+    """``op.reduce`` over the last axis of ``a``.
+
+    Below 8 columns the columns are folded in one at a time: numpy's own
+    sum adds fewer than 8 terms in that sequential order too, so the result
+    is bit for bit the same, and a reduction over so short an axis costs
+    more than the arithmetic.  From 8 columns on numpy's pairwise sum runs.
+    """
+    k = a.shape[-1]
+    if k == 0 or k >= 8:
+        return op.reduce(a, axis=-1)
+    out = a[..., 0].copy()
+    for j in range(1, k):
+        op(out, a[..., j], out=out)
+    return out
+
+
+def _inverse_gap_sums(v: np.ndarray) -> np.ndarray:
+    """(P, N) sums over j != i of 1 / (v_i - v_j), row by row.
+
+    The diagonal of the difference array is set to inf, so it adds
+    1/inf = 0; an exact tie between two particles gives an infinite or NaN
+    sum, which ``_Engine._valid`` rejects.
+    """
+    p, n = v.shape
+    inv = v[:, :, None] - v[:, None, :]
+    inv.reshape(p, n * n)[:, :: n + 1] = np.inf
+    np.divide(1.0, inv, out=inv)
+    return _fold_columns(inv, np.add)
+
+
 def _dyson_drift(beta: float):
     def drift(x: np.ndarray) -> np.ndarray:
-        diff = x[:, :, None] - x[:, None, :]
-        with np.errstate(divide="ignore"):
-            inv = np.where(diff != 0.0, 1.0 / diff, 0.0)
-        return 0.5 * beta * inv.sum(axis=2)
+        f = _inverse_gap_sums(x)
+        f *= 0.5 * beta
+        return f
 
     return drift
 
 
 def _bessel_drift(nu: float):
     def drift(x: np.ndarray) -> np.ndarray:
-        sq = x * x
-        diff = sq[:, :, None] - sq[:, None, :]
-        with np.errstate(divide="ignore"):
-            inv = np.where(diff != 0.0, 1.0 / diff, 0.0)
-        return (nu + 0.5) / x + 2.0 * x * inv.sum(axis=2)
+        f = 2.0 * x
+        f *= _inverse_gap_sums(x * x)
+        f += (nu + 0.5) / x
+        return f
 
     return drift
 
 
 def _ordered_rows(x: np.ndarray, positive: bool) -> np.ndarray:
-    ok = np.all(np.diff(x, axis=1) > 0.0, axis=1) if x.shape[1] > 1 else np.ones(len(x), bool)
+    ok = _fold_columns(np.diff(x, axis=1) > 0.0, np.logical_and)
     if positive:
-        ok = ok & (x[:, 0] > 0.0)
+        ok &= x[:, 0] > 0.0
     return ok
 
 
 class _Engine:
+    """Halving Euler-Maruyama steps of a (P, N) cloud, the drift carried
+    with the state (see the module docstring's cost model)."""
+
     def __init__(self, drift, positive: bool, reflect: bool, stream: RngStream):
         self.drift = drift
         self.positive = positive
@@ -81,58 +120,71 @@ class _Engine:
         self.rejected = 0
         self.max_depth = 0
 
-    def _valid(self, x: np.ndarray, h: float) -> np.ndarray:
-        """Chamber membership plus drift resolvability at step size h.
+    def _valid(self, x: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+        """Chamber membership plus drift resolvability at step size h, and
+        the drift at x.
 
         A state whose next drift increment would cover more than a quarter
         of the distance to the chamber boundary is rejected: the explicit
         scheme cannot resolve the singular layer there, and accepting such
         states strands paths where no admissible step exists.
         """
-        ok = _ordered_rows(x, self.positive)
-        if not ok.any():
-            return ok
-        dist = np.full_like(x, np.inf)
-        if x.shape[1] > 1:
-            gaps = np.diff(x, axis=1)
-            dist[:, :-1] = gaps
-            dist[:, 1:] = np.minimum(dist[:, 1:], gaps)
-        if self.positive:
-            dist[:, 0] = np.minimum(dist[:, 0], x[:, 0])
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            # NaN drift compares False, which is the conservative outcome
-            stable = np.all(np.abs(self.drift(x)) * h <= 0.25 * dist, axis=1)
-        return ok & stable
+            f = self.drift(x)
+            reach = np.abs(f)
+            reach *= h
+        # |f_i| h against a quarter of each gap beside particle i (and of the
+        # distance to the wall); NaN drift compares False, the conservative outcome
+        gaps = x[:, 1:] - x[:, :-1]
+        quarter = 0.25 * gaps
+        ok = gaps > 0.0
+        ok &= reach[:, :-1] <= quarter
+        ok &= reach[:, 1:] <= quarter
+        ok = _fold_columns(ok, np.logical_and)
+        if self.positive:
+            ok &= x[:, 0] > 0.0
+            ok &= reach[:, 0] <= 0.25 * x[:, 0]
+        return ok, f
 
-    def _propose(self, x: np.ndarray, h: float) -> np.ndarray:
-        prop = x + self.drift(x) * h + math.sqrt(h) * self.stream.normal(x.shape)
-        return np.abs(prop) if self.reflect else prop
+    def _propose(self, x: np.ndarray, f: np.ndarray, h: float) -> np.ndarray:
+        prop = f * h
+        prop += x
+        noise = self.stream.normal(x.shape)
+        noise *= math.sqrt(h)
+        prop += noise
+        return np.abs(prop, out=prop) if self.reflect else prop
 
-    def _step(self, x: np.ndarray, h: float, depth: int) -> np.ndarray:
-        prop = self._propose(x, h)
-        bad = ~self._valid(prop, h)
+    def _step(
+        self, x: np.ndarray, f: np.ndarray, h: float, depth: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One step of size h from x, whose drift is f: the new state and its drift."""
+        prop = self._propose(x, f, h)
+        ok, f_prop = self._valid(prop, h)
+        bad = ~ok
         if not bad.any():
-            return prop
+            return prop, f_prop
         self.rejected += int(bad.sum())
         self.max_depth = max(self.max_depth, depth + 1)
         if depth >= _MAX_HALVINGS:
             # at the floor: bounded same-size retries before giving up
             idx = np.flatnonzero(bad)
             for _ in range(200):
-                retry = self._propose(x[idx], h)
-                ok = self._valid(retry, h)
+                retry = self._propose(x[idx], f[idx], h)
+                ok, f_retry = self._valid(retry, h)
                 prop[idx[ok]] = retry[ok]
+                f_prop[idx[ok]] = f_retry[ok]
                 idx = idx[~ok]
                 if len(idx) == 0:
-                    return prop
+                    return prop, f_prop
                 self.rejected += len(idx)
             raise StepFloorReached(
                 f"{len(idx)} paths rejected at dt_max/2**{_MAX_HALVINGS}"
             )
-        sub = self._step(x[bad], h / 2.0, depth + 1)
-        sub = self._step(sub, h / 2.0, depth + 1)
+        sub, f_sub = self._step(x[bad], f[bad], h / 2.0, depth + 1)
+        sub, f_sub = self._step(sub, f_sub, h / 2.0, depth + 1)
         prop[bad] = sub
-        return prop
+        f_prop[bad] = f_sub
+        return prop, f_prop
 
     def advance(
         self, x: np.ndarray, t_from: float, t_to: float, dt_max: float, warmup: bool
@@ -140,19 +192,20 @@ class _Engine:
         """Advance from t_from to t_to; ``warmup`` enables time-proportional
         substeps (h <= 0.05 t) that resolve the singular drift after a
         zero start."""
+        f = self.drift(x)
         if warmup:
             t = t_from
             while t < t_to - 1e-15:
                 h = min(dt_max, max(0.05 * t, 1e-4 * dt_max), t_to - t)
                 if t_to - (t + h) < 0.5 * h:
                     h = t_to - t
-                x = self._step(x, h, 0)
+                x, f = self._step(x, f, h, 0)
                 t += h
             return x
         n_steps = max(1, int(math.ceil((t_to - t_from) / dt_max - 1e-12)))
         h = (t_to - t_from) / n_steps
         for _ in range(n_steps):
-            x = self._step(x, h, 0)
+            x, f = self._step(x, f, h, 0)
         return x
 
 

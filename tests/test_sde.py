@@ -75,9 +75,10 @@ def test_exchangeability_across_streams():
 
 
 def test_step_halving_weak_convergence():
+    # independent streams, as the stderr below assumes
     x0 = A(-0.5, 0.5)
     a = sde.dyson_cloud(2.0, x0, GRID1, RngStream(21, 11), 1e-3, 4_000)
-    b = sde.dyson_cloud(2.0, x0, GRID1, RngStream(21, 11), 5e-4, 4_000)
+    b = sde.dyson_cloud(2.0, x0, GRID1, RngStream(21, 15), 5e-4, 4_000)
     ma, mb = a[:, 0, 1].mean(), b[:, 0, 1].mean()
     se = math.hypot(a[:, 0, 1].std(), b[:, 0, 1].std()) / math.sqrt(4000)
     assert abs(ma - mb) <= 3 * se
@@ -121,3 +122,71 @@ def test_dump_path_csv():
 def test_step_stats_recorded():
     run = sde.simulate_dyson(2.0, A(-0.01, 0.01), GRID1, RngStream(21, 14), 5e-2)
     assert "rejected_steps" in run.step_stats
+
+
+# Pinned random-number path of the halving engine: (system, param, x0, output
+# times, stream id, dt_max, paths) -> (rejected_steps, max_halving_depth) and
+# the coordinates [0, -1, 0], [paths // 2, 0, 1], [-1, -1, -1] of the cloud.
+# Any change to the draws or to the step arithmetic moves these values.
+RNG_PATH_CASES = {
+    # the first drift kick splits the pair; nothing is rejected
+    "dyson_b2_wall_5e-2": (
+        ("dyson", 2.0, [-0.01, 0.01], (0.5, 1.0), 40, 5e-2, 400), (0, 0),
+        (-2.5726684174613466, 3.1410633356407254, 1.4422638714405478)),
+    "dyson_b2_wall_1e-2": (
+        ("dyson", 2.0, [-0.01, 0.01], (0.5, 1.0), 40, 1e-2, 400), (43, 3),
+        (-1.57177650383229, 1.6978909463467597, 3.1898116926437985)),
+    "dyson_b1_n5_zero_start": (
+        ("dyson", 1.0, [0.0] * 5, (0.5, 1.0), 41, 2e-2, 200), (4245, 5),
+        (-1.7396511399157981, -1.3322798434744125, 2.0186347117812478)),
+    "bessel_reflecting": (
+        ("bessel", -0.5, [0.05, 0.3], (0.5, 1.0), 42, 1e-2, 400), (705, 3),
+        (0.33877697946867763, 1.8963787143524957, 2.9062054355179634)),
+    "bessel_nu0_n8_interior": (
+        ("bessel", 0.0, [0.5 * (k + 1) for k in range(8)], (0.5, 1.0), 43, 1e-2, 100),
+        (2124, 4), (0.597254381408896, 0.8646477966060998, 9.093041779294078)),
+    # steps of 16 reach the floor dt_max / 2**10 and its same-size retries
+    "bessel_floor_retries": (
+        ("bessel", 0.0, [0.5, 1.0, 1.5], (16.0,), 44, 16.0, 50), (2430, 11),
+        (2.784417943785862, 11.307910588920441, 16.124733731139514)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RNG_PATH_CASES))
+def test_rng_path_pinned(case):
+    (system, param, x0, times, sid, dt_max, paths), stats, coords = RNG_PATH_CASES[case]
+    out, got = sde._run_cloud(system, param, x0, TimeGrid.of(times), RngStream(21, sid),
+                              dt_max, paths)
+    assert (got["rejected_steps"], got["max_halving_depth"]) == stats
+    assert (out[0, -1, 0], out[paths // 2, 0, 1], out[-1, -1, -1]) == coords
+
+
+@pytest.mark.parametrize("case", ["dyson_b2_wall_1e-2", "bessel_nu0_n8_interior"])
+def test_drift_once_per_proposal(case, monkeypatch):
+    """Each proposal costs one drift evaluation, plus one per advance segment."""
+    (system, param, x0, times, sid, dt_max, paths), _, _ = RNG_PATH_CASES[case]
+    calls = {"drift": 0, "normal": 0}
+    name = "_dyson_drift" if system == "dyson" else "_bessel_drift"
+    make_drift = getattr(sde, name)
+
+    def counted_make(p):
+        drift = make_drift(p)
+
+        def counted(x):
+            calls["drift"] += 1
+            return drift(x)
+
+        return counted
+
+    monkeypatch.setattr(sde, name, counted_make)
+    stream = RngStream(21, sid)
+    normal = stream.normal
+
+    def counted_normal(size=None):
+        calls["normal"] += 1
+        return normal(size)
+
+    stream.normal = counted_normal
+    _, stats = sde._run_cloud(system, param, x0, TimeGrid.of(times), stream, dt_max, paths)
+    assert stats["max_halving_depth"] > 0
+    assert calls["drift"] == calls["normal"] + len(times)
