@@ -1,9 +1,9 @@
 """Internal quadrature machinery: Golub-Welsch rules and adaptive panels.
 
 The public quadrature surface lives in :mod:`noncollide.fredholm`; this
-module holds the cached Legendre rules and the panel drivers that the
-density and kernel modules share.  All integrands are expected to be
-vectorized over numpy arrays.
+module holds the cached Legendre rules that every module maps, and the
+adaptive panel driver of the density module.  All integrands are expected
+to be vectorized over numpy arrays.
 """
 
 from __future__ import annotations
@@ -53,11 +53,6 @@ def gl_nodes(m: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
     return a + half * (x + 1.0), half * w
 
 
-def fixed_quad(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, m: int = 61) -> float:
-    x, w = gl_nodes(m, a, b)
-    return float(np.dot(w, f(x)))
-
-
 def adaptive_quad(
     f: Callable[[np.ndarray], np.ndarray],
     a: float,
@@ -71,11 +66,15 @@ def adaptive_quad(
     The error estimate per panel is |GL61 - GL30|; panels are split until
     the estimate is below the panel's share of the tolerance.
     """
-    total_scale = abs(fixed_quad(f, a, b, 61)) + abs_tol
+    def rule(lo: float, hi: float, m: int) -> float:
+        x, w = gl_nodes(m, lo, hi)
+        return float(np.dot(w, f(x)))
+
+    total_scale = abs(rule(a, b, 61)) + abs_tol
 
     def recurse(lo: float, hi: float, depth: int) -> float:
-        coarse = fixed_quad(f, lo, hi, 30)
-        fine = fixed_quad(f, lo, hi, 61)
+        coarse = rule(lo, hi, 30)
+        fine = rule(lo, hi, 61)
         err = abs(fine - coarse)
         tol_here = max(rel_tol * max(total_scale, abs(fine)), abs_tol, 1e-300)
         if err <= tol_here or depth >= max_depth:
@@ -88,34 +87,3 @@ def adaptive_quad(
         return recurse(lo, mid, depth + 1) + recurse(mid, hi, depth + 1)
 
     return recurse(float(a), float(b), 0)
-
-
-def decaying_quad(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    width: float,
-    panel_tol: float = 1e-12,
-    m: int = 61,
-    max_panels: int = 400,
-) -> float:
-    """Integrate a decaying f on [a, inf) by panels of doubling width.
-
-    Stops once a panel contributes less than ``panel_tol`` times the
-    accumulated absolute total (and below panel_tol absolutely when the
-    total is ~0).
-    """
-    total = 0.0
-    abs_scale = 0.0
-    lo = float(a)
-    w = float(width)
-    for i in range(max_panels):
-        hi = lo + w
-        part = fixed_quad(f, lo, hi, m)
-        total += part
-        abs_scale = max(abs_scale, abs(total), abs(part))
-        if i >= 2 and abs(part) < panel_tol * max(abs_scale, 1e-300):
-            return total
-        lo = hi
-        if i >= 4:
-            w *= 2.0
-    raise QuadratureUnstable("decaying integral did not converge within panel budget")

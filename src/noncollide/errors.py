@@ -100,10 +100,6 @@ class QuadratureUnstable(NoncollideError):
     """Nystrom refinement did not converge to the required tolerance."""
 
 
-class SizeLimit(NoncollideError):
-    """Correlation-function point budget exceeded."""
-
-
 class AccuracyLossWarning(UserWarning):
     """Deep-oscillation regime: fewer digits delivered than the contract.
 

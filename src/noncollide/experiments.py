@@ -648,6 +648,11 @@ def _suite_kernels(seed: int) -> ExperimentReport:
     rep.add("laguerre_reproducing", worst_rep, worst_rep <= 1e-8)
     rep.add("sine_diag", ker.kernel_sine(1.0, 0.3, 1.0, 0.3) - 1.0 / math.pi,
             abs(ker.kernel_sine(1.0, 0.3, 1.0, 0.3) - 1.0 / math.pi) <= 1e-12)
+    # s > t, head minus heat kernel: K(s, x; t, x) = -erfc(sqrt b) / 2 sqrt(pi b), b = (s - t)/2
+    worst = max(abs(ker.kernel_sine(1.0 + 2.0 * b, x0, 1.0, x0)
+                    + math.erfc(math.sqrt(b)) / (2.0 * math.sqrt(math.pi * b)))
+                for b in (0.025, 0.25, 0.75) for x0 in (0.0, 2.3))
+    rep.add("sine_two_time_diag", worst, worst <= 1e-13)
     # soft-edge approach
     errs = []
     for n in (50, 100, 200):
@@ -660,14 +665,23 @@ def _suite_kernels(seed: int) -> ExperimentReport:
             worst = max(worst, abs(kn - ka))
         errs.append(worst)
     rep.add("soft_edge_approach", errs[-1], errs[0] > errs[1] > errs[2])
-    # hard-edge closed form vs integral
+    # hard-edge closed form vs the quadrature of its defining integral
     worst = 0.0
     for nu in (-0.4, 0.5):
         for x0, y0 in ((0.7, 1.3), (0.4, 2.0)):
             closed = ker.kernel_bessel_hard(nu, 1.0, x0, 1.0, y0)
-            integral = math.sqrt(x0 * y0) * ker._hard_edge_integral(nu, 0.0, x0, y0)
+            integral = ker._hard_edge_head(nu, 0.0, np.array([x0]), np.array([y0]))[0, 0]
             worst = max(worst, abs(closed - integral))
     rep.add("hard_edge_dual", worst, worst <= 1e-6)
+    # one Brownian particle: rho(t1, x1; t2, x2) = p(t1, x1 | 0) p(t2 - t1, x2 | x1),
+    # from the blocks s < t and s > t alike (both point orders)
+    worst = 0.0
+    for t1, x1, t2, x2 in ((0.5, 0.3, 1.0, -0.4), (0.2, -0.5, 1.7, 0.8), (1.0, 1.2, 1.3, 1.0)):
+        want = dens.bm_density(t1, x1, 0.0) * dens.bm_density(t2 - t1, x2, x1)
+        for pts in ([(t1, x1), (t2, x2)], [(t2, x2), (t1, x1)]):
+            rho = ker.correlation_function(ker.hermite_kernel(1), pts)
+            worst = max(worst, abs(rho / want - 1.0))
+    rep.add("correlation_n1_two_time", worst, worst <= 1e-13)
     # hard edge nu=+-1/2 vs odd/even sine kernels
     worst = 0.0
     for x0, y0 in ((0.4, 1.1), (0.8, 2.3)):

@@ -8,11 +8,14 @@ Orthonormal Hermite/Laguerre sequences run a scaled two-term recurrence
 with a per-column log offset, which keeps the deep-tail values correct
 far beyond the naive underflow point of the seed term.
 
-The extended Hermite and Laguerre kernels have one batched construction
-per family, (s, xs, t, ys) -> (len xs, len ys): the finite head sum of
-the eigenfunction expansion, minus, for s > t, the whole series in closed
-form, a gauge factor times the one-particle transition density
-(Eynard-Mehta).  Scalar evaluations and equal-time Grams both use it.
+All five extended kernels have one batched construction,
+(s, xs, t, ys) -> (len xs, len ys): a head, a weighted sum of feature
+products (the eigenfunctions for Hermite and Laguerre, a Gauss-Legendre
+rule for the defining integral of the sine, Airy and hard-edge limits),
+minus, for s > t, a gauge factor times the one-particle transition
+density, the whole series or integral in closed form (Eynard-Mehta).
+At s = t the limit kernels use their closed forms.  Scalar evaluations,
+equal-time Grams and multi-time correlation functions all use it.
 """
 
 from __future__ import annotations
@@ -20,13 +23,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
-from ._quad import decaying_quad, fixed_quad, gl_nodes
+from ._quad import gl_nodes
 from .densities1d import log_bessel_density, log_bm_density
-from .errors import AccuracyLossWarning, DomainError, SizeLimit
+from .errors import AccuracyLossWarning, DomainError
 
 __all__ = [
     "hermite_phi",
@@ -56,24 +60,19 @@ __all__ = [
 # orthonormal Hermite functions
 # ---------------------------------------------------------------------------
 
-def hermite_phi_sequence(n_max: int, x) -> np.ndarray:
-    """phi_0..phi_n_max at the points x; shape (n_max+1, len(x)).
-
-    Scaled recurrence: the Gaussian seed is carried as a log offset, so
-    values are correct even where exp(-x^2/2) alone would underflow.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    offset = -0.5 * x * x
-    p_prev = np.full_like(x, math.pi ** -0.25)
-    out = np.empty((n_max + 1, len(x)))
+def _scaled_recurrence(n_max: int, offset: np.ndarray, p_prev: np.ndarray,
+                       p_cur: np.ndarray, step: Callable) -> np.ndarray:
+    """Rows p_0..p_n_max of a three-term recurrence times exp(offset); p_cur is
+    p_1 and step(n, p_n, p_{n-1}) gives p_{n+1}.  Any |p| > 1e250 moves into
+    the per-column log offset, so values stay correct far beyond the point
+    where the seed exp(offset) alone would underflow."""
+    out = np.empty((n_max + 1, len(offset)))
     out[0] = p_prev * np.exp(offset)
     if n_max == 0:
         return out
-    p_cur = math.sqrt(2.0) * x * p_prev
     out[1] = p_cur * np.exp(offset)
     for n in range(1, n_max):
-        p_next = math.sqrt(2.0 / (n + 1.0)) * x * p_cur - math.sqrt(n / (n + 1.0)) * p_prev
-        p_prev, p_cur = p_cur, p_next
+        p_prev, p_cur = p_cur, step(n, p_cur, p_prev)
         big = np.abs(p_cur) > 1e250
         if big.any():
             scale = np.where(big, np.abs(p_cur), 1.0)
@@ -82,6 +81,16 @@ def hermite_phi_sequence(n_max: int, x) -> np.ndarray:
             offset = offset + np.log(scale)
         out[n + 1] = p_cur * np.exp(offset)
     return out
+
+
+def hermite_phi_sequence(n_max: int, x) -> np.ndarray:
+    """phi_0..phi_n_max at the points x; shape (n_max+1, len(x)), with the
+    Gaussian seed carried as the log offset of :func:`_scaled_recurrence`."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    p0 = np.full_like(x, math.pi ** -0.25)
+    return _scaled_recurrence(
+        n_max, -0.5 * x * x, p0, math.sqrt(2.0) * x * p0,
+        lambda n, p, q: math.sqrt(2.0 / (n + 1.0)) * x * p - math.sqrt(n / (n + 1.0)) * q)
 
 
 def hermite_phi(n: int, x: float) -> float:
@@ -107,27 +116,11 @@ def laguerre_phi_sequence(n_max: int, nu: float, x) -> np.ndarray:
     offset = np.full_like(x, at_zero)
     pos = x > 0.0
     offset[pos] = 0.5 * nu * np.log(x[pos]) - 0.5 * x[pos] - 0.5 * math.lgamma(nu + 1.0)
-    p_prev = np.ones_like(x)
-    out = np.empty((n_max + 1, len(x)))
-    out[0] = p_prev * np.exp(offset)
-    if n_max == 0:
-        return out
     # L_1^nu(x) = 1 + nu - x, normalized
-    p_cur = (1.0 + nu - x) / math.sqrt(1.0 + nu)
-    out[1] = p_cur * np.exp(offset)
-    for n in range(1, n_max):
-        c1 = (2.0 * n + 1.0 + nu - x) / math.sqrt((n + 1.0) * (n + 1.0 + nu))
-        c2 = math.sqrt(n * (n + nu) / ((n + 1.0) * (n + 1.0 + nu)))
-        p_next = c1 * p_cur - c2 * p_prev
-        p_prev, p_cur = p_cur, p_next
-        big = np.abs(p_cur) > 1e250
-        if big.any():
-            scale = np.where(big, np.abs(p_cur), 1.0)
-            p_cur = p_cur / scale
-            p_prev = p_prev / scale
-            offset = offset + np.log(scale)
-        out[n + 1] = p_cur * np.exp(offset)
-    return out
+    return _scaled_recurrence(
+        n_max, offset, np.ones_like(x), (1.0 + nu - x) / math.sqrt(1.0 + nu),
+        lambda n, p, q: (2.0 * n + 1.0 + nu - x) / math.sqrt((n + 1.0) * (n + 1.0 + nu)) * p
+        - math.sqrt(n * (n + nu) / ((n + 1.0) * (n + 1.0 + nu))) * q)
 
 
 def laguerre_phi(n: int, nu: float, x: float) -> float:
@@ -266,23 +259,28 @@ def airy_ai_prime(x):
 _AIRY_NEAR = 1e-2
 
 
-def _airy_closed(xs: np.ndarray) -> np.ndarray:
-    """Equal-time Airy kernel K(x_i, x_j) from the integrable form
+def _airy_closed(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Equal-time Airy kernel K(x_i, y_j) from the integrable form
     (Ai(x)Ai'(y) - Ai'(x)Ai(y)) / (x - y), diagonal Ai'(x)^2 - x Ai(x)^2.
 
     Where |x - y| < 1e-2 the quotient would amplify the ~1e-13 rounding
     noise of the Ai series by 1 / |x - y|, so the entry is the Taylor
     polynomial in d = x - y about y, quartic in d (Ai'' = x Ai gives every
     coefficient from Ai and Ai' at y).  Against 40-digit values on
-    -12 <= x, y <= 8 the error is <= 2e-11, except for pairs on either side
-    of _airy_both's branch switch at x = -7.5 (see :func:`airy_kernel`).
+    -12 <= x, y <= 8 the error is <= 2e-11, except for pairs at least 1e-2
+    apart on either side of _airy_both's series/asymptotic switch at
+    x = -7.5: up to 6e-10 (m <= 160 Nystrom nodes; 9e-10 at m = 320), while
+    tracy_widom_fredholm on alpha in [-12, 8] stays within 4e-15 of a
+    scipy-built determinant.  A Nystrom determinant so needs Ai and Ai' at
+    its nodes only (Bornemann, Math. Comp. 79 (2010) 871-915).
     """
     ai, aip = _airy_both(xs)
-    d = xs[:, None] - xs[None, :]
+    ai_y, aip_y = (ai, aip) if ys is xs else _airy_both(ys)
+    d = xs[:, None] - ys[None, :]
     near = np.abs(d) < _AIRY_NEAR
-    out = (ai[:, None] * aip - aip[:, None] * ai) / np.where(near, 1.0, d)
+    out = (ai[:, None] * aip_y - aip[:, None] * ai_y) / np.where(near, 1.0, d)
     i, j = np.nonzero(near)
-    d, f, fp, y = d[i, j], ai[j], aip[j], xs[j]
+    d, f, fp, y = d[i, j], ai_y[j], aip_y[j], ys[j]
     ff, fpfp, ffp = f * f, fp * fp, f * fp
     out[i, j] = (fpfp - y * ff - d * ff / 2.0
                  + d**2 * (y * fpfp - ffp - y * y * ff) / 6.0
@@ -363,9 +361,15 @@ def bessel_j_prime(nu: float, x):
 
 @dataclass(frozen=True)
 class ExtendedKernel:
-    """Two-time correlation kernel with a fast equal-time Gram path."""
+    """Extended correlation kernel K(s, x; t, y) of one family.
+
+    ``block(s, xs, t, ys)`` is the primary form, the matrix K(s, xs_i; t, ys_j)
+    for 1-d float arrays.  ``evaluate`` is its scalar entry with the family's
+    domain checks and ``equal_time_matrix(t, xs)`` the Gram block(t, xs, t, xs).
+    """
 
     family: str
+    block: Callable[[float, np.ndarray, float, np.ndarray], np.ndarray]
     evaluate: Callable[[float, float, float, float], float]
     equal_time_matrix: Callable[[float, np.ndarray], np.ndarray]
     domain: str  # "line" or "halfline"
@@ -373,25 +377,29 @@ class ExtendedKernel:
     nu: Optional[float] = None
 
 
-def _head_sum(phi_seq: Callable, xa: np.ndarray, ya: np.ndarray, r: float, same: bool):
-    """sum_{k<N} r^k phi_k(xa_i) phi_k(ya_j); phi.T @ phi, exactly symmetric, if same."""
-    phx = phi_seq(xa)
-    phy = phx if same else phi_seq(ya)
-    if r != 1.0:
-        phx = phx * (r ** np.arange(len(phx)))[:, None]
-    return phx.T @ phy
+def _head_sum(features: Callable, weights, xa: np.ndarray, ya: np.ndarray, same: bool):
+    """sum_k weights_k f_k(xa_i) f_k(ya_j), where features(v) has one row per k;
+    no weights means ones, and then f.T @ f, exactly symmetric, if same."""
+    fx = features(xa)
+    fy = fx if same else features(ya)
+    if weights is not None:
+        fx = fx * weights[:, None]
+    return fx.T @ fy
 
 
 def _hermite_block(n: int, s: float, xs: np.ndarray, t: float, ys: np.ndarray) -> np.ndarray:
     """K_N(s, x_i; t, y_j) of the noncolliding BM, shape (len xs, len ys).
 
-    The head sum over phi_k(x / sqrt 2s) phi_k(y / sqrt 2t) with r = sqrt(t/s)
-    is the whole kernel for s <= t.  For s > t the kernel is the head minus
-    the full sum (Eynard-Mehta), which Mehler's formula makes the gauge
-    exp(x^2/4s - y^2/4t) times the Brownian density p(s - t, y | x).
+    The head sum over phi_k(x / sqrt 2s) phi_k(y / sqrt 2t) with weights
+    r^k, r = sqrt(t/s), is the whole kernel for s <= t.  For s > t the kernel
+    is the head minus the full sum (Eynard-Mehta), which Mehler's formula
+    makes the gauge exp(x^2/4s - y^2/4t) times the Brownian density
+    p(s - t, y | x).
     """
-    out = _head_sum(lambda u: hermite_phi_sequence(n - 1, u), xs / math.sqrt(2.0 * s),
-                    ys / math.sqrt(2.0 * t), math.sqrt(t / s), s == t and ys is xs)
+    r = math.sqrt(t / s)
+    out = _head_sum(lambda u: hermite_phi_sequence(n - 1, u),
+                    None if r == 1.0 else r ** np.arange(n), xs / math.sqrt(2.0 * s),
+                    ys / math.sqrt(2.0 * t), s == t and ys is xs)
     out /= math.sqrt(2.0 * s)
     if s > t:
         xc, yr = xs[:, None], ys[None, :]
@@ -410,8 +418,10 @@ def _laguerre_block(
     the full sum exp((nu + 1/2) log(x/y) + (nu/2) log(s/t) + x^2/4s - y^2/4t)
     times the Bessel density p^(nu)(s - t, y | x); that branch needs x, y > 0.
     """
-    out = _head_sum(lambda u: laguerre_phi_sequence(n - 1, nu, u), xs * xs / (2.0 * s),
-                    ys * ys / (2.0 * t), t / s, s == t and ys is xs)
+    r = t / s
+    out = _head_sum(lambda u: laguerre_phi_sequence(n - 1, nu, u),
+                    None if r == 1.0 else r ** np.arange(n), xs * xs / (2.0 * s),
+                    ys * ys / (2.0 * t), s == t and ys is xs)
     out *= np.outer(np.sqrt(np.maximum(xs, 0.0)), np.sqrt(np.maximum(ys, 0.0)))
     out /= s
     if s > t:
@@ -420,6 +430,106 @@ def _laguerre_block(
                      + xc * xc / (4.0 * s) - yr * yr / (4.0 * t))
         out -= np.exp(log_gauge + log_bessel_density(nu, s - t, yr, xc))
     return out
+
+
+def _sine_block(s: float, xs: np.ndarray, t: float, ys: np.ndarray) -> np.ndarray:
+    """Sine kernel K(s, x_i; t, y_j): sin(x - y) / pi(x - y) at s = t, else the
+    head (1/pi) int_0^1 e^{(t-s)u^2/2} cos(u(x - y)) du, a Gauss-Legendre sum
+    over cos(ux), sin(ux) with more nodes as |x - y| and |t - s| grow, minus,
+    for s > t, the integral over (0, inf), the heat kernel p(s - t, y | x)."""
+    if s == t:
+        d = xs[:, None] - ys[None, :]
+        with np.errstate(invalid="ignore"):
+            return np.where(d != 0.0, np.sin(d) / (math.pi * d), 1.0 / math.pi)
+    reach = np.max(np.abs(xs), initial=0.0) + np.max(np.abs(ys), initial=0.0)
+    u, w = gl_nodes(24 + math.ceil(0.5 * reach + abs(t - s)), 0.0, 1.0)
+    out = _head_sum(lambda v: np.vstack([np.cos(np.outer(u, v)), np.sin(np.outer(u, v))]),
+                    np.tile(w * np.exp((t - s) * u * u / 2.0) / math.pi, 2), xs, ys, False)
+    if s > t:
+        out -= np.exp(log_bm_density(s - t, ys[None, :], xs[:, None]))
+    return out
+
+
+def _airy_block(s: float, xs: np.ndarray, t: float, ys: np.ndarray) -> np.ndarray:
+    """Airy kernel K(s, x_i; t, y_j): :func:`_airy_closed` at s = t, else the head
+    int_0^inf e^{c lam} Ai(x + lam) Ai(y + lam) dlam, c = (s - t)/2, a
+    Gauss-Legendre sum over Ai(x + lam), minus, for s > t, the integral over
+    the whole line, by the Vallee-Soares formula the gauge
+    exp(c^3/12 - c(x + y)/2) times the heat kernel p(s - t, y | x).
+
+    With z0 = min(x, y, 0), Ai(z)^2 < e^{-4 z^{3/2}/3} puts the cut where
+    (4/3)(z0 + cut)^{3/2} - c cut passes 45; the node count grows with the
+    cut and with the phase (2/3)|z0|^{3/2} of Ai on [z0, 0].
+    """
+    if s == t:
+        return _airy_closed(xs, ys)
+    c = 0.5 * (s - t)
+    z0, z = min(np.min(xs, initial=0.0), np.min(ys, initial=0.0)), 10.4
+    while 4.0 / 3.0 * z**1.5 - c * (z - z0) < 45.0:
+        z *= 1.25
+    lam, w = gl_nodes(24 + 2 * math.ceil(z - z0) + math.ceil(0.5 * (-z0) ** 1.5), 0.0, z - z0)
+    out = _head_sum(lambda v: _airy_both(np.add.outer(lam, v))[0], w * np.exp(c * lam),
+                    xs, ys, False)
+    if s > t:
+        xc, yr = xs[:, None], ys[None, :]
+        out -= np.exp(c**3 / 12.0 - c * (xc + yr) / 2.0 + log_bm_density(s - t, yr, xc))
+    return out
+
+
+def _hard_edge_head(nu: float, dt: float, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """sqrt(x_i y_j) int_0^2 e^{dt u^2/2} J_nu(u x_i) u J_nu(u y_j) du, batched.
+
+    The integrand behaves like u^{2 nu + 1} at 0.  The substitution
+    u = 2 w^p makes it w^{p(2 nu + 2) - 1}; p = ceil(4 nu + 4) / (2 nu + 2)
+    is the smallest p >= 2 that makes this power an integer.  p >= 2 keeps
+    the nodes spread over u, where a small power for large nu would crowd
+    them into w ~ 0.  96 nodes in w resolve the oscillation of
+    J_nu(ux) J_nu(uy) up to x + y = 48 and 2(x + y) nodes past it.
+    """
+    p = math.ceil(4.0 * nu + 4.0) / (2.0 * nu + 2.0)
+    reach = np.max(xs, initial=0.0) + np.max(ys, initial=0.0)
+    w, wq = gl_nodes(max(96, 2 * math.ceil(reach)), 0.0, 1.0)
+    u = 2.0 * w**p
+    return _head_sum(lambda v: bessel_j(nu, np.outer(u, v)) * np.sqrt(v),
+                     wq * np.exp(dt * u * u / 2.0) * u * 2.0 * p * w ** (p - 1.0),
+                     xs, ys, ys is xs)
+
+
+def _hard_edge_closed(nu: float, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Equal-time hard-edge kernel K(x_i, y_j) = 2 sqrt(xy) [J_nu(2x) y J'_nu(2y) -
+    J_nu(2y) x J'_nu(2x)] / (x^2 - y^2), Bessel functions at the m + n points only;
+    entries with |x - y| < 1e-4 or a zero coordinate take the head at dt = 0."""
+    jx, jy = bessel_j(nu, 2.0 * xs), bessel_j(nu, 2.0 * ys)
+    x, y = xs[:, None], ys[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # J'_nu(2v) as bessel_j_prime forms it; zero coordinates take the head below
+        dx, dy = ((nu / (2 * v)) * j - bessel_j(nu + 1.0, 2 * v) for v, j in ((xs, jx), (ys, jy)))
+        num = jx[:, None] * y * dy[None, :] - jy[None, :] * x * dx[:, None]
+        out = 2.0 * np.sqrt(x * y) * num / (x * x - y * y)
+    near = (np.abs(x - y) < 1e-4) | (x == 0.0) | (y == 0.0)
+    if near.any():
+        out[near] = _hard_edge_head(nu, 0.0, xs, ys)[near]
+    return out
+
+
+def _hard_edge_block(nu: float, s: float, xs: np.ndarray, t: float, ys: np.ndarray) -> np.ndarray:
+    """Hard-edge kernel K(s, x_i; t, y_j): :func:`_hard_edge_closed` at s = t, else
+    the head at dt = t - s minus, for s > t, the integral over u in (0, inf),
+    by Weber's formula the gauge (x/y)^(nu + 1/2) times the Bessel density
+    p^(nu)(s - t, y | x), and 0 at a zero coordinate, as sqrt(xy) is."""
+    if s == t:
+        return _hard_edge_closed(nu, xs, ys)
+    out = _hard_edge_head(nu, t - s, xs, ys)
+    if s > t:
+        xc, yr = xs[:, None], ys[None, :]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            full = np.exp((nu + 0.5) * np.log(xc / yr) + log_bessel_density(nu, s - t, yr, xc))
+        out -= np.where((xc == 0.0) | (yr == 0.0), 0.0, full)
+    return out
+
+
+def _at(block: Callable, s: float, x: float, t: float, y: float) -> float:
+    return float(block(s, np.array([float(x)]), t, np.array([float(y)]))[0, 0])
 
 
 def kernel_hermite(n: int, s: float, x: float, t: float, y: float) -> float:
@@ -432,7 +542,7 @@ def kernel_hermite(n: int, s: float, x: float, t: float, y: float) -> float:
     """
     if not (s > 0.0 and t > 0.0):
         raise DomainError("s, t > 0 required")
-    return float(_hermite_block(n, s, np.array([float(x)]), t, np.array([float(y)]))[0, 0])
+    return _at(partial(_hermite_block, n), s, x, t, y)
 
 
 def kernel_laguerre(n: int, nu: float, s: float, x: float, t: float, y: float) -> float:
@@ -450,178 +560,85 @@ def kernel_laguerre(n: int, nu: float, s: float, x: float, t: float, y: float) -
         if nu > -0.5:
             return 0.0
         raise DomainError("kernel singular at the wall for nu <= -1/2")
-    block = _laguerre_block(n, nu, s, np.array([float(x)]), t, np.array([float(y)]))
-    return float(block[0, 0])
+    return _at(partial(_laguerre_block, n, nu), s, x, t, y)
 
 
 def kernel_sine(s: float, x: float, t: float, y: float) -> float:
-    """Bulk-limit sine kernel (three time-ordering branches)."""
-    d = x - y
-    if s == t:
-        if d == 0.0:
-            return 1.0 / math.pi
-        return math.sin(d) / (math.pi * d)
-    if s < t:
-        return (1.0 / math.pi) * fixed_quad(
-            lambda u: np.exp((t - s) * u * u / 2.0) * np.cos(u * d), 0.0, 1.0, 61
-        )
-    width = math.sqrt(2.0 / (s - t))
-    return -(1.0 / math.pi) * decaying_quad(
-        lambda u: np.exp((t - s) * u * u / 2.0) * np.cos(u * d), 1.0, width
-    )
+    """Bulk-limit sine kernel, :func:`_sine_block`.  For s != t the error is
+    absolute, as for :func:`kernel_hermite`: <= 1e-13 for -3 <= x, y <= 2 and
+    0.05 <= |s - t| <= 1.5."""
+    return _at(_sine_block, s, x, t, y)
 
 
 def kernel_airy(s: float, x: float, t: float, y: float) -> float:
-    """Soft-edge Airy kernel (extended; equal time by the closed form)."""
-    if s == t:
-        return float(_airy_closed(np.array([x, y], dtype=float))[0, 1])
-    sign = 1.0 if s < t else -1.0  # integrate over x + v for s < t, x - v for s > t
-
-    def f(v):
-        ai_x, _ = _airy_both(x + sign * v)
-        ai_y, _ = _airy_both(y + sign * v)
-        return np.exp(-(t - s) * sign * v / 2.0) * ai_x * ai_y
-
-    return sign * decaying_quad(f, 0.0, 2.0)
-
-
-_HARD_SWITCH = 1e-4
-
-
-def _hard_edge_integral(nu: float, dt: float, x: float, y: float) -> float:
-    """int_0^2 e^{dt u^2/2} J_nu(ux) u J_nu(uy) du.
-
-    The integrand behaves like u^{2 nu + 1} at 0.  The substitution
-    u = 2 w^p makes it w^{p(2 nu + 2) - 1}; p = ceil(4 nu + 4) / (2 nu + 2)
-    is the smallest p >= 2 that makes this power an integer.  p >= 2 keeps
-    the nodes spread over u, where a small power for large nu would crowd
-    them into w ~ 0.
-    """
-    p = math.ceil(4.0 * nu + 4.0) / (2.0 * nu + 2.0)
-
-    def f(w):
-        u = 2.0 * w**p
-        return (
-            np.exp(dt * u * u / 2.0)
-            * bessel_j(nu, u * x) * u * bessel_j(nu, u * y)
-            * 2.0 * p * w ** (p - 1.0)
-        )
-
-    return fixed_quad(f, 0.0, 1.0, 96)
-
-
-def _hard_edge_closed(nu: float, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Equal-time hard-edge kernel K(x_i, y_j) = 2 sqrt(xy) [J_nu(2x) y J'_nu(2y) -
-    J_nu(2y) x J'_nu(2x)] / (x^2 - y^2), Bessel functions at the m + n points only;
-    entries with |x - y| < 1e-4 or a zero coordinate use the defining u-integral."""
-    jx, jy = bessel_j(nu, 2.0 * xs), bessel_j(nu, 2.0 * ys)
-    x, y = xs[:, None], ys[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # J'_nu(2v) as bessel_j_prime forms it; zero coordinates take the integral below
-        dx, dy = ((nu / (2 * v)) * j - bessel_j(nu + 1.0, 2 * v) for v, j in ((xs, jx), (ys, jy)))
-        num = jx[:, None] * y * dy[None, :] - jy[None, :] * x * dx[:, None]
-        out = 2.0 * np.sqrt(x * y) * num / (x * x - y * y)
-    near = (np.abs(x - y) < _HARD_SWITCH) | (x == 0.0) | (y == 0.0)
-    for i, j in zip(*np.nonzero(near)):
-        out[i, j] = math.sqrt(xs[i] * ys[j]) * _hard_edge_integral(nu, 0.0, xs[i], ys[j])
-    return out
+    """Soft-edge Airy kernel, :func:`_airy_block`.  For s != t the error is
+    absolute: <= 1e-13 for -3 <= x, y <= 2 and 0.05 <= |s - t| <= 1.5."""
+    return _at(_airy_block, s, x, t, y)
 
 
 def kernel_bessel_hard(nu: float, s: float, x: float, t: float, y: float) -> float:
-    """Hard-edge Bessel kernel; equal time by :func:`_hard_edge_closed`."""
+    """Hard-edge Bessel kernel, :func:`_hard_edge_block`.  For s != t the
+    error is absolute: <= 1e-12 for 0.1 <= x, y <= 3 and 0.05 <= |s - t| <= 1.5."""
     if x < 0.0 or y < 0.0:
         raise DomainError("x, y >= 0 required")
-    if s == t:
-        return float(_hard_edge_closed(nu, np.array([float(x)]), np.array([float(y)]))[0, 0])
-    if s < t:
-        return math.sqrt(x * y) * _hard_edge_integral(nu, t - s, x, y)
-    width = math.sqrt(2.0 / (s - t))
-    return -math.sqrt(x * y) * decaying_quad(
-        lambda u: np.exp((t - s) * u * u / 2.0)
-        * bessel_j(nu, u * x) * u * bessel_j(nu, u * y),
-        2.0, width,
-    )
+    return _at(partial(_hard_edge_block, nu), s, x, t, y)
 
 
 # ---------------------------------------------------------------------------
-# kernel factories with fast equal-time Gram matrices
+# kernel records and correlation functions
 # ---------------------------------------------------------------------------
+
+def _extended(family: str, domain: str, block: Callable, evaluate: Callable,
+              **params) -> ExtendedKernel:
+    """The record of a family: its Gram is the block at s = t."""
+    def gram(t: float, xs: np.ndarray) -> np.ndarray:
+        xs = np.asarray(xs, dtype=float)
+        return block(t, xs, t, xs)
+
+    return ExtendedKernel(family, block, evaluate, gram, domain, **params)
+
 
 def hermite_kernel(n: int) -> ExtendedKernel:
-    return ExtendedKernel(
-        family="HermiteN",
-        evaluate=lambda s, x, t, y: kernel_hermite(n, s, x, t, y),
-        equal_time_matrix=lambda t, xs: _hermite_block(n, t, xs, t, xs),
-        domain="line",
-        n=n,
-    )
+    return _extended("HermiteN", "line", partial(_hermite_block, n),
+                     partial(kernel_hermite, n), n=n)
 
 
 def laguerre_kernel(n: int, nu: float) -> ExtendedKernel:
-    return ExtendedKernel(
-        family="LaguerreN",
-        evaluate=lambda s, x, t, y: kernel_laguerre(n, nu, s, x, t, y),
-        equal_time_matrix=lambda t, xs: _laguerre_block(n, nu, t, xs, t, xs),
-        domain="halfline",
-        n=n,
-        nu=nu,
-    )
+    return _extended("LaguerreN", "halfline", partial(_laguerre_block, n, nu),
+                     partial(kernel_laguerre, n, nu), n=n, nu=nu)
 
 
 def sine_kernel() -> ExtendedKernel:
-    def gram(t: float, xs: np.ndarray) -> np.ndarray:
-        d = xs[:, None] - xs[None, :]
-        with np.errstate(invalid="ignore"):
-            out = np.where(d != 0.0, np.sin(d) / (math.pi * d), 1.0 / math.pi)
-        return out
-
-    return ExtendedKernel(
-        family="Sine",
-        evaluate=kernel_sine,
-        equal_time_matrix=gram,
-        domain="line",
-    )
+    return _extended("Sine", "line", _sine_block, kernel_sine)
 
 
 def airy_kernel() -> ExtendedKernel:
-    # The Gram is the closed form at the m nodes, so a Nystrom determinant
-    # needs Ai and Ai' there only (Bornemann, Math. Comp. 79 (2010) 871-915).
-    # The quotient amplifies the mismatch of _airy_both's branches: nodes at
-    # least 1e-2 apart on either side of the series/asymptotic switch at
-    # x = -7.5 put up to 6e-10 (m <= 160; 9e-10 at m = 320) into a Gram
-    # entry against scipy's Airy functions, while tracy_widom_fredholm on
-    # alpha in [-12, 8] stays within 4e-15 of a scipy-built determinant.
-    return ExtendedKernel(
-        family="Airy",
-        evaluate=kernel_airy,
-        equal_time_matrix=lambda t, xs: _airy_closed(np.asarray(xs, dtype=float)),
-        domain="line",
-    )
+    return _extended("Airy", "line", _airy_block, kernel_airy)
 
 
 def bessel_hard_kernel(nu: float) -> ExtendedKernel:
-    return ExtendedKernel(  # bessel_j rejects negative nodes
-        family="BesselHard",
-        evaluate=lambda s, x, t, y: kernel_bessel_hard(nu, s, x, t, y),
-        equal_time_matrix=lambda t, xs: _hard_edge_closed(nu, *[np.asarray(xs, dtype=float)] * 2),
-        domain="halfline",
-        nu=nu,
-    )
+    return _extended("BesselHard", "halfline", partial(_hard_edge_block, nu),
+                     partial(kernel_bessel_hard, nu), nu=nu)
 
 
 def correlation_function(kernel: ExtendedKernel, points) -> float:
-    """Multi-time correlation: det of the block kernel matrix over points.
+    """Multi-time correlation det[K(t_i, x_i; t_j, x_j)] over any number of
+    (time, position) points.
 
-    ``points`` is a sequence of (time, position) pairs, at most 12 total.
+    Sorting the points by time permutes rows and columns alike, which keeps
+    the determinant, and makes the matrix one block per pair of times, each
+    filled by one ``kernel.block`` call.  On the half-line a point at the
+    wall gives 0 for nu > -1/2, as :func:`kernel_laguerre` does.
     """
-    pts = [(float(t), float(x)) for t, x in points]
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    if kernel.domain == "halfline" and np.any(pts[:, 1] <= 0.0):
+        if np.all(pts[:, 1] >= 0.0) and kernel.nu > -0.5:
+            return 0.0
+        raise DomainError("positions > 0 required, or at the wall with nu > -1/2")
     if len(pts) == 0:
         return 1.0
-    if len(pts) > 12:
-        raise SizeLimit("at most 12 points supported")
-    m = len(pts)
-    a = np.empty((m, m))
-    for i, (ti, xi) in enumerate(pts):
-        for j, (tj, xj) in enumerate(pts):
-            a[i, j] = kernel.evaluate(ti, xi, tj, xj)
-    return float(np.linalg.det(a))
+    pts = pts[np.argsort(pts[:, 0], kind="stable")]
+    times, first = np.unique(pts[:, 0], return_index=True)
+    groups = list(zip(times.tolist(), np.split(pts[:, 1], first[1:])))
+    return float(np.linalg.det(np.block([[kernel.block(s, xs, t, ys) for t, ys in groups]
+                                         for s, xs in groups])))

@@ -81,6 +81,14 @@ def test_table_kernel_sine_diagonal(tmp_path):
     rows = out.read_text().strip().split("\n")[2:]
     for row in rows:
         assert float(row.split(",")[4]) == pytest.approx(1 / math.pi, abs=1e-12)
+    # two-time Airy diagonal at s - t = 0.107, where the kernel once raised
+    rc = run_cli(["table", "--what", "kernel", "--family", "airy", "--s", "1.107",
+                  "--t", "1", "--x-min", "-2", "--x-max", "2", "--step", "0.5",
+                  "--out", str(out)])
+    assert rc == 0
+    rows = out.read_text().strip().split("\n")[2:]
+    assert len(rows) == 9
+    assert all(math.isfinite(float(row.split(",")[4])) for row in rows)
 
 
 def test_table_density_pn_n1_is_bm(tmp_path):

@@ -7,7 +7,8 @@ from noncollide import ensembles as ens
 from noncollide import kernels as K
 from noncollide._quad import gl_nodes
 from noncollide.core import RngStream
-from noncollide.errors import AccuracyLossWarning, DomainError, SizeLimit
+from noncollide.densities1d import bm_density
+from noncollide.errors import AccuracyLossWarning, DomainError
 from oracles import (
     CHI2_CRIT_19DOF_1PCT,
     glaguerre_rule,
@@ -309,6 +310,15 @@ def test_sine_kernel_values():
     assert abs(v - 1 / math.pi) <= 1e-10
 
 
+def test_sine_kernel_two_time_diagonal_closed_form():
+    # s > t: K(s, x; t, x) = -(1/pi) int_1^inf e^{-b u^2} du = -erfc(sqrt b) / 2 sqrt(pi b)
+    for gap in (0.05, 0.5, 1.5):
+        b = gap / 2
+        for x0 in (0.0, 2.3):
+            want = -math.erfc(math.sqrt(b)) / (2 * math.sqrt(math.pi * b))
+            assert abs(K.kernel_sine(1.0 + gap, x0, 1.0, x0) - want) <= 1e-13
+
+
 def test_airy_kernel_diagonal_closed_form():
     for x0 in (-2.0, 0.0, 1.0):
         v = K.kernel_airy(1.0, x0, 1.0, x0)
@@ -342,7 +352,7 @@ def test_hard_edge_closed_vs_integral():
     for nu in (-0.4, 0.0, 0.5, 1.0):
         for (x0, y0) in ((0.7, 1.3), (0.4, 2.0)):
             closed = K.kernel_bessel_hard(nu, 1.0, x0, 1.0, y0)
-            intval = math.sqrt(x0 * y0) * K._hard_edge_integral(nu, 0.0, x0, y0)
+            intval = K._hard_edge_head(nu, 0.0, np.array([x0]), np.array([y0]))[0, 0]
             assert abs(closed - intval) <= 1e-6
 
 
@@ -355,13 +365,59 @@ def test_hard_edge_diagonal_at_nu_2_3():
 
 @pytest.mark.parametrize("nu", [-0.8, -0.4, 0.3, 2.3, 5.7])
 def test_hard_edge_kernel_matches_mpmath(nu):
+    # s <= t: the integral over u in (0, 2); s > t: minus the tail over (2, inf)
     mp = pytest.importorskip("mpmath")
     with mp.workdps(30):
-        for s, x, t, y in ((1.0, 5.0, 1.0, 5.0), (1.0, 0.7, 1.0, 1.3), (1.0, 3.0, 1.5, 2.2)):
+        for s, x, t, y in ((1.0, 5.0, 1.0, 5.0), (1.0, 0.7, 1.0, 1.3), (1.0, 3.0, 1.5, 2.2),
+                           (1.5, 0.7, 1.0, 1.3), (1.8, 3.0, 1.2, 2.2)):
+            span = [0, 0.5, 1, 1.5, 2] if s <= t else [2, 4, 8, 16]  # e^{-u^2/4} < 1e-27 past 16
             ref = mp.sqrt(x * y) * mp.quad(
                 lambda u: mp.exp((t - s) * u * u / 2) * mp.besselj(nu, u * x) * u
-                * mp.besselj(nu, u * y), [0, 0.5, 1, 1.5, 2])
+                * mp.besselj(nu, u * y), span) * (1 if s <= t else -1)
             assert abs(K.kernel_bessel_hard(nu, s, x, t, y) - ref) <= 1e-12, (s, x, t, y)
+
+
+@pytest.mark.parametrize("s, x, t, y", [(0.6, 0.3, 1.0, -1.2), (1.5, 0.3, 1.0, -1.2),
+                                        (1.05, -2.5, 1.0, 1.7), (0.2, 1.9, 1.7, -2.8)])
+def test_sine_kernel_two_time_matches_mpmath(s, x, t, y):
+    # s < t: (1/pi) int_0^1 e^{(t-s)u^2/2} cos(u(x-y)) du; s > t: minus the tail over (1, inf)
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        span = [0, 1] if s < t else [1 + k for k in range(40)] + [mp.inf]
+        ref = mp.quad(lambda u: mp.exp((t - s) * u * u / 2) * mp.cos(u * (x - y)),
+                      span) / mp.pi * (1 if s < t else -1)
+    assert abs(K.kernel_sine(s, x, t, y) - ref) <= 1e-13
+
+
+@pytest.mark.parametrize("s, x, t, y", [(0.4, -2.6, 1.0, 1.1), (1.0, 0.5, 1.3, -0.7),
+                                        (4.0, -1.0, 1.0, 0.7)])
+def test_airy_kernel_two_time_matches_mpmath(s, x, t, y):
+    # s < t: int_0^inf e^{-(t-s)l/2} Ai(x+l) Ai(y+l) dl; s > t: minus the same
+    # integrand over (-inf, 0), on panels of about a local period
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(20):
+        c = (s - t) / 2
+        if s < t:
+            span = [0, 1, 2, 4, 8, 16, mp.inf]
+        else:
+            span, lam = [0.0], 0.0
+            while lam < 40.0 / c:
+                lam += min(1.0, 4.0 / math.sqrt(max(lam - min(x, y), 1.0)))
+                span.append(-lam)
+        ref = mp.quad(lambda v: mp.exp(c * v) * mp.airyai(x + v) * mp.airyai(y + v),
+                      sorted(span)) * (1 if s < t else -1)
+    assert abs(K.kernel_airy(s, x, t, y) - ref) <= 1e-13
+
+
+@pytest.mark.parametrize("s, x, t, y, ref", [
+    (1.107, -0.5, 1.0, 0.3, 0.0149779857202830451172066215824),
+    (1.43, 0.2, 1.0, -1.0, -2.21860759553364476086464013167e-4),
+])
+def test_airy_kernel_s_gt_t_pinned(s, x, t, y, ref):
+    # 30-digit values of -int_{-inf}^0 e^{(s-t)l/2} Ai(x+l) Ai(y+l) dl (mpmath,
+    # Ai = Re of (Ai + i Bi) products, the fast one on the ray l = -r e^{-i pi/6});
+    # a cut-off tail quadrature raises at the first and is 6e-6 off at the second
+    assert abs(K.kernel_airy(s, x, t, y) - ref) <= 1e-13
 
 
 @pytest.mark.parametrize("nu", [-0.4, 0.5, 2.3])
@@ -436,10 +492,27 @@ def test_correlation_two_point_nonnegative():
         assert rho2 >= -1e-12
 
 
-def test_correlation_size_limit():
-    kern = K.hermite_kernel(2)
-    with pytest.raises(SizeLimit):
-        K.correlation_function(kern, [(1.0, 0.1 * i) for i in range(13)])
+@pytest.mark.parametrize("kern", [K.hermite_kernel(9), K.sine_kernel()],
+                         ids=["hermite", "sine"])
+def test_correlation_twenty_points_three_times(kern):
+    rng = np.random.default_rng(11)
+    times = np.repeat([0.6, 1.0, 1.7], [7, 7, 6])
+    pts = [(float(t), float(x)) for t, x in zip(times, rng.uniform(-3.0, 3.0, 20))]
+    order = rng.permutation(20)
+    pts = [pts[i] for i in order]
+    a = np.array([[kern.evaluate(s, x, t, y) for t, y in pts] for s, x in pts])
+    want = float(np.linalg.det(a))
+    assert K.correlation_function(kern, pts) == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("t1, x1, t2, x2", [(0.5, 0.3, 1.0, -0.4), (0.2, -0.5, 1.7, 0.8),
+                                             (1.0, 1.2, 1.3, 1.0)])
+def test_correlation_n1_two_time_identity(t1, x1, t2, x2):
+    # one Brownian particle: rho(t1, x1; t2, x2) = p(t1, x1 | 0) p(t2 - t1, x2 | x1)
+    want = bm_density(t1, x1, 0.0) * bm_density(t2 - t1, x2, x1)
+    kern = K.hermite_kernel(1)
+    for pts in ([(t1, x1), (t2, x2)], [(t2, x2), (t1, x1)]):
+        assert K.correlation_function(kern, pts) == pytest.approx(want, rel=1e-13)
 
 
 def test_rho1_matches_gue_histogram():
@@ -512,16 +585,19 @@ def test_multitime_correlation_vs_path_mc():
         done += c
     est = hits / n_paths / (2 * half) ** 2
     se = math.sqrt(hits) / n_paths / (2 * half) ** 2
-    kern = K.hermite_kernel(n)
-    a = np.array(
-        [
-            [kern.evaluate(t1, x1, t1, x1), kern.evaluate(t1, x1, t2, x2)],
-            [kern.evaluate(t2, x2, t1, x1), kern.evaluate(t2, x2, t2, x2)],
-        ]
-    )
-    rho2 = float(np.linalg.det(a))
+    rho2 = K.correlation_function(K.hermite_kernel(n), [(t1, x1), (t2, x2)])
     # bin-averaging bias of the box estimator stays within a few percent
     assert abs(est - rho2) <= 3 * se + 0.05 * rho2
+
+
+def test_correlation_half_line_wall():
+    # a point at the wall makes a zero row for nu > -1/2; negative positions raise
+    for kern in (K.laguerre_kernel(2, -0.4), K.bessel_hard_kernel(0.5)):
+        assert K.correlation_function(kern, [(1.0, 0.0), (1.2, 0.7)]) == 0.0
+        with pytest.raises(DomainError):
+            K.correlation_function(kern, [(1.0, -0.1), (1.2, 0.7)])
+    with pytest.raises(DomainError):
+        K.correlation_function(K.laguerre_kernel(2, -0.6), [(1.0, 0.0)])
 
 
 def test_laguerre_kernel_wall_values():
