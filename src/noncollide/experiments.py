@@ -646,6 +646,15 @@ def _suite_kernels(seed: int) -> ExperimentReport:
             )
     rep.add("laguerre_trace", worst_tr, worst_tr <= 1e-8)
     rep.add("laguerre_reproducing", worst_rep, worst_rep <= 1e-8)
+    # Airy table: Ai(0), Ai'(0) against their Gamma closed forms, and the table
+    # against each asymptotic expansion at its switch (numpy only)
+    at_zero = ker._airy_both(np.array([0.0]))
+    devs = [abs(at_zero[0][0] * 3.0 ** (2.0 / 3.0) * math.gamma(2.0 / 3.0) - 1.0),
+            abs(at_zero[1][0] * -(3.0 ** (1.0 / 3.0)) * math.gamma(1.0 / 3.0) - 1.0)]
+    for seam, expansion in ((-12.0, ker._airy_negative), (10.0, ker._airy_decaying)):
+        table, other = ker._airy_table(np.array([seam])), expansion(np.array([seam]))
+        devs += [abs(a[0] / b[0] - 1.0) for a, b in zip(table, other)]
+    rep.add("airy_table", max(devs), max(devs) <= 1e-14)
     rep.add("sine_diag", ker.kernel_sine(1.0, 0.3, 1.0, 0.3) - 1.0 / math.pi,
             abs(ker.kernel_sine(1.0, 0.3, 1.0, 0.3) - 1.0 / math.pi) <= 1e-12)
     # s > t, head minus heat kernel: K(s, x; t, x) = -erfc(sqrt b) / 2 sqrt(pi b), b = (s - t)/2

@@ -91,9 +91,14 @@ def fredholm_det(spec: GapSpec) -> float:
     if a == b:
         return 1.0
     rule = gauss_legendre(spec.m, a, b)
-    k = spec.kernel.equal_time_matrix(spec.time, rule.nodes)
+    # every equal_time_matrix returns a fresh array, so the Nystrom matrix
+    # I - W^(1/2) K W^(1/2) is assembled in it, with no m x m temporaries
+    mat = spec.kernel.equal_time_matrix(spec.time, rule.nodes)
     root_w = np.sqrt(rule.weights)
-    mat = np.eye(spec.m) - root_w[:, None] * k * root_w[None, :]
+    mat *= root_w[:, None]
+    mat *= root_w
+    np.negative(mat, out=mat)
+    mat.flat[:: spec.m + 1] += 1.0
     val = float(np.linalg.det(mat))
     if val < -1e-10 or val > 1.0 + 1e-10:
         warnings.warn(f"Fredholm determinant {val} outside [0,1] beyond clamp margin")

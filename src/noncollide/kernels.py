@@ -1,9 +1,9 @@
 """Finite-N extended correlation kernels, their scaling limits, and the
 special functions they need.
 
-The special functions are implemented in-repo (series + asymptotic
-expansions, with a nonoscillatory Bessel-K integral bridging the gap
-region of Ai) so the kernel module stays dependency-free and bit-stable.
+The special functions are implemented in-repo (series, asymptotic
+expansions, and for Ai a Taylor table of the Airy equation between its two
+expansions) so the kernel module stays dependency-free and bit-stable.
 Orthonormal Hermite/Laguerre sequences run a scaled two-term recurrence
 with a per-column log offset, which keeps the deep-tail values correct
 far beyond the naive underflow point of the seed term.
@@ -134,66 +134,17 @@ def laguerre_phi(n: int, nu: float, x: float) -> float:
 # Airy function
 # ---------------------------------------------------------------------------
 
-_AI0 = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)
-_AIP0 = -(3.0 ** (-1.0 / 3.0)) / math.gamma(1.0 / 3.0)
-
-
-def _airy_series(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(Ai, Ai') by the Maclaurin series; good on roughly [-7.5, 4]."""
-    f = np.ones_like(x)
-    fp = np.zeros_like(x)
-    g = x.copy()
-    gp = np.ones_like(x)
-    tf = np.ones_like(x)
-    tg = x.copy()
-    x3 = x**3
-    for k in range(60):
-        tf = tf * x3 / ((3 * k + 3.0) * (3 * k + 2.0))
-        fp += tf * (3 * k + 3.0) / np.where(x != 0.0, x, 1.0)
-        f += tf
-        tg = tg * x3 / ((3 * k + 4.0) * (3 * k + 3.0))
-        gp += tg * (3 * k + 4.0) / np.where(x != 0.0, x, 1.0)
-        g += tg
-        if np.all(np.abs(tf) + np.abs(tg) < 1e-18 * (np.abs(f) + np.abs(g))):
-            break
-    ai = _AI0 * f + _AIP0 * g
-    aip = _AI0 * fp + _AIP0 * gp
-    return ai, aip
-
-
-_BK_NODES, _BK_WEIGHTS = gl_nodes(96, 0.0, 1.0)
-
-
-def _airy_positive(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(Ai, Ai') for x >= ~2 via the nonoscillatory K_{1/3} integral."""
-    zeta = (2.0 / 3.0) * x**1.5
-    # u-range where zeta(cosh u - 1) reaches ~45
-    umax = np.arccosh(1.0 + 45.0 / zeta)
-    u = umax[:, None] * _BK_NODES[None, :]
-    w = umax[:, None] * _BK_WEIGHTS[None, :]
-    damp = np.exp(-zeta[:, None] * (np.cosh(u) - 1.0))
-    k13 = np.sum(w * damp * np.cosh(u / 3.0), axis=1)
-    k23 = np.sum(w * damp * np.cosh(2.0 * u / 3.0), axis=1)
-    with np.errstate(under="ignore"):
-        scale = np.exp(-zeta)
-    ai = (1.0 / math.pi) * np.sqrt(x / 3.0) * scale * k13
-    aip = -(x / (math.pi * math.sqrt(3.0))) * scale * k23
-    return ai, aip
-
-
 def _airy_u_coeffs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    u = np.empty(n)
-    v = np.empty(n)
-    u[0] = v[0] = 1.0
+    u, v = np.ones(n), np.ones(n)
     for k in range(n - 1):
         u[k + 1] = u[k] * (6 * k + 5.0) * (6 * k + 3.0) * (6 * k + 1.0) / (
-            216.0 * (2 * k + 1.0) * (k + 1.0)
-        )
+            216.0 * (2 * k + 1.0) * (k + 1.0))
         v[k + 1] = -u[k + 1] * (6 * k + 7.0) / (6 * k + 5.0)
     return u, v
 
 
 _AIRY_U, _AIRY_V = _airy_u_coeffs(20)
+_AIRY_UV = np.stack([_AIRY_U, _AIRY_V], axis=1)
 
 
 def _airy_negative(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -201,10 +152,7 @@ def _airy_negative(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     z = -x
     zeta = (2.0 / 3.0) * z**1.5
     inv = 1.0 / zeta
-    even_u = np.zeros_like(z)
-    odd_u = np.zeros_like(z)
-    even_v = np.zeros_like(z)
-    odd_v = np.zeros_like(z)
+    even_u, odd_u, even_v, odd_v = (np.zeros_like(z) for _ in range(4))
     for k in range(0, 10):
         s = (-1.0) ** k
         even_u += s * _AIRY_U[2 * k] * inv ** (2 * k)
@@ -218,66 +166,117 @@ def _airy_negative(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ai, aip
 
 
+def _two_prod(a, b):
+    """(p, e) with p = fl(a b) and p + e = a b exactly (Dekker, with Veltkamp's
+    split of each factor into 26-bit halves)."""
+    ah, bh = (134217729.0 * v - (134217729.0 * v - v) for v in (a, b))
+    al, bl, p = a - ah, b - bh, a * b
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _airy_decaying(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Ai, Ai') for x >= 10: e^-zeta (2 sqrt(pi))^-1 times x^-1/4 sum (-1)^k u_k
+    zeta^-k and -x^1/4 sum (-1)^k v_k zeta^-k.  As e^-zeta turns the absolute
+    error of zeta = (2/3) x^3/2 into a relative one (1e-13 at x = 100 were it
+    rounded), zeta + lo is exact to double precision by exact products."""
+    r = np.sqrt(x)
+    p, p_err = _two_prod(x, r)
+    sq, sq_err = _two_prod(r, r)
+    lo32 = p_err + x * ((x - sq) - sq_err) / (2.0 * r)  # x^3/2 = p + lo32
+    zeta = 2.0 * p / 3.0
+    q = 2.0 * zeta + zeta
+    q_err = zeta - (q - 2.0 * zeta)  # Fast2Sum: 3 zeta = q + q_err exactly
+    lo = ((2.0 * p - q) - q_err + 2.0 * lo32) / 3.0
+    with np.errstate(under="ignore"):
+        scale = np.exp(-zeta) * (1.0 - lo) / (2.0 * math.sqrt(math.pi))
+    su, sv = (np.vander(-1.0 / zeta, len(_AIRY_U), increasing=True) @ _AIRY_UV).T
+    q4 = np.sqrt(r)
+    return scale * su / q4, -scale * q4 * sv
+
+
+_AIRY_LO, _AIRY_HI, _AIRY_STEP, _AIRY_DEG = -12.0, 10.0, 0.25, 22  # the Taylor table
+
+
+def _airy_taylor_table() -> np.ndarray:
+    """Coefficients a_0.._AIRY_DEG of Ai about c_j = _AIRY_LO + j _AIRY_STEP, by
+    rows.  Ai'' = x Ai gives a_2 = c a_0 / 2 and a_{k+2} = (c a_k + a_{k-1}) /
+    ((k+1)(k+2)).  The last row starts from :func:`_airy_decaying`; each row at
+    d = -_AIRY_STEP starts the one before.  Leftward Ai grows and Bi decays, so
+    the stepping is stable (Gil, Segura & Temme, Numerical Methods for Special
+    Functions, SIAM 2007, ch. 9)."""
+    tab = np.empty((round((_AIRY_HI - _AIRY_LO) / _AIRY_STEP) + 1, _AIRY_DEG + 1))
+    ai, aip = (float(v[0]) for v in _airy_decaying(np.array([_AIRY_HI])))
+    for j in range(len(tab) - 1, -1, -1):
+        c = _AIRY_LO + _AIRY_STEP * j
+        a = [ai, aip, c * ai / 2.0]
+        for k in range(1, _AIRY_DEG - 1):
+            a.append((c * a[k] + a[k - 1]) / ((k + 1.0) * (k + 2.0)))
+        tab[j] = a
+        ai = np.polyval(tab[j, ::-1], -_AIRY_STEP)
+        aip = np.polyval((tab[j, 1:] * np.arange(1.0, _AIRY_DEG + 1))[::-1], -_AIRY_STEP)
+    return tab
+
+
+_AIRY_TAB = _airy_taylor_table()
+_AIRY_DTAB = _AIRY_TAB[:, 1:] * np.arange(1.0, _AIRY_DEG + 1)  # the coefficients of Ai'
+
+
+def _airy_table(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Ai, Ai') on [_AIRY_LO, _AIRY_HI] from the nearest centre, |d| <= 1/8."""
+    j = np.rint((x - _AIRY_LO) / _AIRY_STEP).astype(np.intp)
+    powers = np.vander(x - (_AIRY_LO + _AIRY_STEP * j), _AIRY_DEG + 1, increasing=True)
+    return (powers * _AIRY_TAB[j]).sum(axis=1), (powers[:, :-1] * _AIRY_DTAB[j]).sum(axis=1)
+
+
 def _airy_both(x) -> tuple[np.ndarray, np.ndarray]:
+    """(Ai, Ai'): :func:`_airy_negative` below _AIRY_LO, the Taylor table
+    on [_AIRY_LO, _AIRY_HI], :func:`_airy_decaying` above it."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(np.abs(x) > 1e3):
         raise DomainError("|x| <= 1e3 supported")
-    deep = x < -500.0
-    if deep.any():
-        zeta = (2.0 / 3.0) * np.abs(x[deep]).max() ** 1.5
-        digits = 16 - math.log10(zeta)
-        warnings.warn(
-            f"deep oscillation: ~{digits:.1f} digits delivered for x < -500",
-            AccuracyLossWarning,
-        )
-    ai = np.empty_like(x)
-    aip = np.empty_like(x)
-    neg = x <= -7.5
-    mid = (x > -7.5) & (x < 4.0)
-    pos = x >= 4.0
-    if neg.any():
-        ai[neg], aip[neg] = _airy_negative(x[neg])
-    if mid.any():
-        ai[mid], aip[mid] = _airy_series(x[mid])
-    if pos.any():
-        ai[pos], aip[pos] = _airy_positive(x[pos])
+    if np.any(x < -500.0):
+        digits = 16 - math.log10((2.0 / 3.0) * (-x.min()) ** 1.5)
+        warnings.warn(f"deep oscillation: ~{digits:.1f} digits delivered for x < -500",
+                      AccuracyLossWarning)
+    ai, aip = np.full_like(x, np.nan), np.full_like(x, np.nan)
+    for part, branch in ((x < _AIRY_LO, _airy_negative), (x > _AIRY_HI, _airy_decaying),
+                         ((x >= _AIRY_LO) & (x <= _AIRY_HI), _airy_table)):
+        if part.any():
+            ai[part], aip[part] = branch(x[part])
     return ai, aip
 
 
 def airy_ai(x):
-    """Airy function Ai(x) to ~1e-10 relative accuracy."""
+    """Airy function Ai(x), |x| <= 1e3.  Against 30-digit values Ai and Ai' are
+    within 1e-15 absolute on [-12, 0] and relative on (0, 100].  Below -12 the
+    rounded phase (2/3)|x|^3/2 dominates: 4.1e-15 for Ai and 2.3e-14 for Ai' on
+    [-30, -12], growing like |x|^5/4 eps and |x|^7/4 eps (a warning below -500)."""
     ai, _ = _airy_both(x)
     return ai if np.ndim(x) else float(ai[0])
 
 
 def airy_ai_prime(x):
-    """Derivative Ai'(x)."""
+    """Derivative Ai'(x), as :func:`airy_ai`."""
     _, aip = _airy_both(x)
     return aip if np.ndim(x) else float(aip[0])
-
-
-_AIRY_NEAR = 1e-2
 
 
 def _airy_closed(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Equal-time Airy kernel K(x_i, y_j) from the integrable form
     (Ai(x)Ai'(y) - Ai'(x)Ai(y)) / (x - y), diagonal Ai'(x)^2 - x Ai(x)^2.
 
-    Where |x - y| < 1e-2 the quotient would amplify the ~1e-13 rounding
-    noise of the Ai series by 1 / |x - y|, so the entry is the Taylor
-    polynomial in d = x - y about y, quartic in d (Ai'' = x Ai gives every
-    coefficient from Ai and Ai' at y).  Against 40-digit values on
-    -12 <= x, y <= 8 the error is <= 2e-11, except for pairs at least 1e-2
-    apart on either side of _airy_both's series/asymptotic switch at
-    x = -7.5: up to 6e-10 (m <= 160 Nystrom nodes; 9e-10 at m = 320), while
-    tracy_widom_fredholm on alpha in [-12, 8] stays within 4e-15 of a
-    scipy-built determinant.  A Nystrom determinant so needs Ai and Ai' at
-    its nodes only (Bornemann, Math. Comp. 79 (2010) 871-915).
+    Where |x - y| < 2e-3 the quotient would amplify the ~1e-15 error of Ai and
+    Ai' by 1 / |x - y|, so the entry is the quartic Taylor polynomial in
+    d = x - y about y (Ai'' = x Ai gives each coefficient from Ai and Ai' at y).
+    Against 40-digit values on -12 <= x, y <= 8 the error is <= 1e-15 for pairs
+    1e-2 apart or more and <= 1.2e-14 closer, where quotient and quartic meet.
+    A Nystrom determinant so needs Ai and Ai' at its nodes only (Bornemann,
+    Math. Comp. 79 (2010) 871-915).
     """
     ai, aip = _airy_both(xs)
     ai_y, aip_y = (ai, aip) if ys is xs else _airy_both(ys)
     d = xs[:, None] - ys[None, :]
-    near = np.abs(d) < _AIRY_NEAR
+    near = np.abs(d) < 2e-3
     out = (ai[:, None] * aip_y - aip[:, None] * ai_y) / np.where(near, 1.0, d)
     i, j = np.nonzero(near)
     d, f, fp, y = d[i, j], ai_y[j], aip_y[j], ys[j]
@@ -336,7 +335,7 @@ def bessel_j(nu: float, x):
     out = np.empty_like(x_arr)
     zero = x_arr == 0.0
     if zero.any():
-        out[zero] = 1.0 if nu == 0.0 else 0.0
+        out[zero] = 1.0 if nu == 0.0 else (0.0 if nu > 0.0 else math.inf)
     small = (~zero) & (x_arr <= 14.0)
     if small.any():
         out[small] = _bessel_j_series(nu, x_arr[small])
@@ -416,8 +415,11 @@ def _laguerre_block(
     As :func:`_hermite_block`, with phi^nu_k at x^2/2s and y^2/2t, r = t/s
     and the factor sqrt(x y) / s.  For s > t the Hille-Hardy formula makes
     the full sum exp((nu + 1/2) log(x/y) + (nu/2) log(s/t) + x^2/4s - y^2/4t)
-    times the Bessel density p^(nu)(s - t, y | x); that branch needs x, y > 0.
+    times the Bessel density p^(nu)(s - t, y | x).  Zero coordinates take
+    :func:`_wall_limit`.
     """
+    if np.any(xs == 0.0) or np.any(ys == 0.0):
+        return _wall_limit(nu, partial(_laguerre_block, n, nu), s, xs, t, ys)
     r = t / s
     out = _head_sum(lambda u: laguerre_phi_sequence(n - 1, nu, u),
                     None if r == 1.0 else r ** np.arange(n), xs * xs / (2.0 * s),
@@ -429,6 +431,22 @@ def _laguerre_block(
         log_gauge = ((nu + 0.5) * np.log(xc / yr) + 0.5 * nu * math.log(s / t)
                      + xc * xc / (4.0 * s) - yr * yr / (4.0 * t))
         out -= np.exp(log_gauge + log_bessel_density(nu, s - t, yr, xc))
+    return out
+
+
+def _wall_limit(nu: float, block: Callable, s: float, xs: np.ndarray, t: float,
+                ys: np.ndarray) -> np.ndarray:
+    """A half-line block with zero coordinates.  Its features carry the factor
+    x^(nu + 1/2), so rows and columns at x = 0 are the wall limit 0 for
+    nu > -1/2; the others come from block with the zeros moved to 1, which
+    leaves them bit for bit as they were.  nu <= -1/2 raises."""
+    if not nu > -0.5:
+        raise DomainError("kernel singular at the wall for nu <= -1/2")
+    wx, wy = xs == 0.0, ys == 0.0
+    inner = np.where(wx, 1.0, xs)
+    out = block(s, inner, t, inner if ys is xs else np.where(wy, 1.0, ys))
+    out[wx] = 0.0
+    out[:, wy] = 0.0
     return out
 
 
@@ -497,16 +515,16 @@ def _hard_edge_head(nu: float, dt: float, xs: np.ndarray, ys: np.ndarray) -> np.
 
 def _hard_edge_closed(nu: float, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Equal-time hard-edge kernel K(x_i, y_j) = 2 sqrt(xy) [J_nu(2x) y J'_nu(2y) -
-    J_nu(2y) x J'_nu(2x)] / (x^2 - y^2), Bessel functions at the m + n points only;
-    entries with |x - y| < 1e-4 or a zero coordinate take the head at dt = 0."""
+    J_nu(2y) x J'_nu(2x)] / (x^2 - y^2) for x, y > 0, Bessel functions at the
+    m + n points only; entries with |x - y| < 1e-4 take the head at dt = 0."""
     jx, jy = bessel_j(nu, 2.0 * xs), bessel_j(nu, 2.0 * ys)
     x, y = xs[:, None], ys[None, :]
+    # J'_nu(2v) as bessel_j_prime forms it
+    dx, dy = ((nu / (2 * v)) * j - bessel_j(nu + 1.0, 2 * v) for v, j in ((xs, jx), (ys, jy)))
+    num = jx[:, None] * y * dy[None, :] - jy[None, :] * x * dx[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        # J'_nu(2v) as bessel_j_prime forms it; zero coordinates take the head below
-        dx, dy = ((nu / (2 * v)) * j - bessel_j(nu + 1.0, 2 * v) for v, j in ((xs, jx), (ys, jy)))
-        num = jx[:, None] * y * dy[None, :] - jy[None, :] * x * dx[:, None]
         out = 2.0 * np.sqrt(x * y) * num / (x * x - y * y)
-    near = (np.abs(x - y) < 1e-4) | (x == 0.0) | (y == 0.0)
+    near = np.abs(x - y) < 1e-4
     if near.any():
         out[near] = _hard_edge_head(nu, 0.0, xs, ys)[near]
     return out
@@ -516,15 +534,15 @@ def _hard_edge_block(nu: float, s: float, xs: np.ndarray, t: float, ys: np.ndarr
     """Hard-edge kernel K(s, x_i; t, y_j): :func:`_hard_edge_closed` at s = t, else
     the head at dt = t - s minus, for s > t, the integral over u in (0, inf),
     by Weber's formula the gauge (x/y)^(nu + 1/2) times the Bessel density
-    p^(nu)(s - t, y | x), and 0 at a zero coordinate, as sqrt(xy) is."""
+    p^(nu)(s - t, y | x).  Zero coordinates take :func:`_wall_limit`."""
+    if np.any(xs == 0.0) or np.any(ys == 0.0):
+        return _wall_limit(nu, partial(_hard_edge_block, nu), s, xs, t, ys)
     if s == t:
         return _hard_edge_closed(nu, xs, ys)
     out = _hard_edge_head(nu, t - s, xs, ys)
     if s > t:
         xc, yr = xs[:, None], ys[None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            full = np.exp((nu + 0.5) * np.log(xc / yr) + log_bessel_density(nu, s - t, yr, xc))
-        out -= np.where((xc == 0.0) | (yr == 0.0), 0.0, full)
+        out -= np.exp((nu + 0.5) * np.log(xc / yr) + log_bessel_density(nu, s - t, yr, xc))
     return out
 
 
@@ -555,11 +573,6 @@ def kernel_laguerre(n: int, nu: float, s: float, x: float, t: float, y: float) -
         raise DomainError("s, t > 0 required")
     if x < 0.0 or y < 0.0:
         raise DomainError("x, y >= 0 required")
-    if x == 0.0 or y == 0.0:
-        # prefactor sqrt(xy) x^nu: continuous wall limit for nu > -1/2
-        if nu > -0.5:
-            return 0.0
-        raise DomainError("kernel singular at the wall for nu <= -1/2")
     return _at(partial(_laguerre_block, n, nu), s, x, t, y)
 
 
@@ -628,13 +641,11 @@ def correlation_function(kernel: ExtendedKernel, points) -> float:
     Sorting the points by time permutes rows and columns alike, which keeps
     the determinant, and makes the matrix one block per pair of times, each
     filled by one ``kernel.block`` call.  On the half-line a point at the
-    wall gives 0 for nu > -1/2, as :func:`kernel_laguerre` does.
+    wall makes a zero row (:func:`_wall_limit`), so the value is 0.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    if kernel.domain == "halfline" and np.any(pts[:, 1] <= 0.0):
-        if np.all(pts[:, 1] >= 0.0) and kernel.nu > -0.5:
-            return 0.0
-        raise DomainError("positions > 0 required, or at the wall with nu > -1/2")
+    if kernel.domain == "halfline" and np.any(pts[:, 1] < 0.0):
+        raise DomainError("positions >= 0 required on the half-line")
     if len(pts) == 0:
         return 1.0
     pts = pts[np.argsort(pts[:, 0], kind="stable")]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -91,10 +92,29 @@ def test_hermite_laguerre_correspondence():
 # ---------------------------------------------------------------------------
 
 def test_airy_at_zero():
-    assert K.airy_ai(0.0) == pytest.approx(3 ** (-2 / 3) / math.gamma(2 / 3), rel=1e-13)
+    assert K.airy_ai(0.0) == pytest.approx(3 ** (-2 / 3) / math.gamma(2 / 3), rel=4e-15)
     assert K.airy_ai_prime(0.0) == pytest.approx(
-        -(3 ** (-1 / 3)) / math.gamma(1 / 3), rel=1e-13
+        -(3 ** (-1 / 3)) / math.gamma(1 / 3), rel=4e-15
     )
+
+
+@pytest.mark.parametrize("lo, hi, n, bound_ai, bound_aip, relative", [
+    (-12.0, 0.0, 241, 5e-15, 5e-15, False),   # Taylor table
+    (0.0, 10.0, 201, 5e-15, 5e-15, True),     # Taylor table, Ai decaying
+    (10.0, 100.0, 181, 1e-14, 1e-14, True),   # decaying expansion, compensated zeta
+    (-30.0, -12.0, 181, 8e-15, 4e-14, False),  # oscillatory expansion, phase rounding
+])
+def test_airy_matches_mpmath_over_range(lo, hi, n, bound_ai, bound_aip, relative):
+    mp = pytest.importorskip("mpmath")
+    xs = np.linspace(lo, hi, n)[1:] if lo == 0.0 else np.linspace(lo, hi, n)
+    ai, aip = K.airy_ai(xs), K.airy_ai_prime(xs)
+    with mp.workdps(30):
+        ref = np.array([[float(mp.airyai(x)), float(mp.airyai(x, 1))] for x in xs]).T
+    err = np.abs([ai - ref[0], aip - ref[1]])
+    if relative:
+        err /= np.abs(ref)
+    assert err[0].max() <= bound_ai
+    assert err[1].max() <= bound_aip
 
 
 def test_airy_equation_residual():
@@ -109,15 +129,12 @@ def test_airy_equation_residual():
 
 
 def test_airy_seams():
-    for x in (3.9, 4.0, 4.1):
-        s_ai, s_aip = K._airy_series(np.array([x]))
-        p_ai, p_aip = K._airy_positive(np.array([x]))
-        assert abs(s_ai[0] / p_ai[0] - 1.0) <= 1e-10
-        assert abs(s_aip[0] / p_aip[0] - 1.0) <= 1e-10
-    for x in (-7.6, -7.5, -7.4):
-        s_ai, _ = K._airy_series(np.array([x]))
-        n_ai, _ = K._airy_negative(np.array([x]))
-        assert abs(s_ai[0] / n_ai[0] - 1.0) <= 1e-10
+    # the Taylor table meets each asymptotic expansion at its switch
+    for x, expansion in ((-12.0, K._airy_negative), (10.0, K._airy_decaying)):
+        table = K._airy_table(np.array([x]))
+        other = expansion(np.array([x]))
+        for a, b in zip(table, other):
+            assert abs(a[0] / b[0] - 1.0) <= 1e-14
 
 
 def test_airy_known_values():
@@ -598,6 +615,33 @@ def test_correlation_half_line_wall():
             K.correlation_function(kern, [(1.0, -0.1), (1.2, 0.7)])
     with pytest.raises(DomainError):
         K.correlation_function(K.laguerre_kernel(2, -0.6), [(1.0, 0.0)])
+
+
+def test_half_line_grams_take_the_wall_limit():
+    # a zero coordinate gives a zero row and column for nu > -1/2 and no 0 * inf
+    xs = np.array([0.0, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lag = K.laguerre_kernel(3, -0.4).equal_time_matrix(1.0, xs)
+        hard = K.bessel_hard_kernel(-0.4).equal_time_matrix(0.0, xs)
+        lag_two = K.laguerre_kernel(3, 0.5).block(1.5, xs, 1.0, np.array([0.0, 0.7]))
+    assert np.array_equal(lag[:, 0], [0.0, 0.0]) and np.array_equal(lag[0], [0.0, 0.0])
+    assert lag[1, 1] == K.kernel_laguerre(3, -0.4, 1.0, 0.5, 1.0, 0.5)
+    assert np.array_equal(hard[:, 0], [0.0, 0.0]) and np.array_equal(hard[0], [0.0, 0.0])
+    assert hard[1, 1] == pytest.approx(0.96562405, abs=1e-8)
+    assert lag_two[1, 1] == K.kernel_laguerre(3, 0.5, 1.5, 0.5, 1.0, 0.7)
+    assert np.all(lag_two[0] == 0.0) and np.all(lag_two[:, 0] == 0.0)
+    for kern in (K.laguerre_kernel(3, -0.5), K.bessel_hard_kernel(-0.5)):
+        with pytest.raises(DomainError):
+            kern.equal_time_matrix(1.0, xs)
+
+
+def test_bessel_j_at_zero():
+    # J_nu(x) ~ (x/2)^nu / Gamma(nu + 1): 1 at nu = 0, 0 above, +inf below
+    assert K.bessel_j(0.0, 0.0) == 1.0
+    assert K.bessel_j(0.7, 0.0) == 0.0
+    assert K.bessel_j(-0.4, 0.0) == math.inf
+    assert K.bessel_j(-0.4, 1e-12) > 5e4
 
 
 def test_laguerre_kernel_wall_values():
