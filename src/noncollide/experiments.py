@@ -722,8 +722,12 @@ def _suite_fredholm(seed: int) -> ExperimentReport:
     v = fred.sine_gap(1e-2)
     expect = 1.0 - 2e-2 / math.pi
     rep.add("sine_gap_expansion", v - expect, abs(v - expect) <= 1e-7)
-    vals = [fred.tracy_widom_fredholm(a, m=48) for a in np.linspace(-6.0, 3.0, 19)]
+    vals = [fred.tracy_widom_fredholm(a) for a in np.linspace(-6.0, 3.0, 19)]
     rep.add("tw_monotone", float(np.min(np.diff(vals))), bool(np.all(np.diff(vals) > -1e-12)))
+    # the default node count against twice as many, once here instead of in every call
+    worst = max(abs(fred.tracy_widom_fredholm(a) - fred.tracy_widom_fredholm(a, m=96))
+                for a in (-10.0, -6.0, -3.0, 0.0, 3.0, 7.9))
+    rep.add("tw_nodes_converged", worst, worst <= 1e-14)
     return _pin(rep, t0)
 
 

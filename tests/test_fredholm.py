@@ -120,9 +120,22 @@ def _airy_nystrom_scipy(alpha, m=120):
     return float(np.linalg.det(np.eye(m) - rw[:, None] * k * rw[None, :]))
 
 
-@pytest.mark.parametrize("alpha", [-11.5, -7.5003, -6.0, -2.0, 0.0, 3.3, 7.9])
+@pytest.mark.parametrize("alpha", [-12.0, -11.5, -7.5003, -6.0, -2.0, 0.0, 3.3, 7.9, 8.0])
 def test_tracy_widom_fredholm_matches_scipy_closed_form(alpha):
     assert abs(F.tracy_widom_fredholm(alpha) - _airy_nystrom_scipy(alpha)) <= 1e-12
+
+
+def test_tracy_widom_fredholm_is_one_determinant(monkeypatch):
+    calls, det = [], F.fredholm_det
+
+    def counted(spec):
+        calls.append(spec)
+        return det(spec)
+
+    monkeypatch.setattr(F, "fredholm_det", counted)
+    for alpha in (-6.0, 0.0, 8.0):
+        F.tracy_widom_fredholm(alpha)
+    assert [(c.window, c.m) for c in calls] == [((a, 10.0), 48) for a in (-6.0, 0.0, 8.0)]
 
 
 def test_painleve_boundary_condition():

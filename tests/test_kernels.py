@@ -163,6 +163,22 @@ def test_bessel_j_seam():
         assert abs(s - a) <= 1e-10
 
 
+@pytest.mark.parametrize("nu", [-0.9, -0.4, 0.0, 0.5, 1.0, 2.3, 5.0, 10.0])
+def test_bessel_j_matches_mpmath_over_range(nu):
+    mp = pytest.importorskip("mpmath")
+    # (lo, hi, bound): relative below 0.5, absolute above; the series loses
+    # digits to cancellation as x nears its switch to the asymptotic form at 14
+    for lo, hi, bound in ((1e-4, 0.5, 4e-15), (0.5, 10.0, 2e-13), (10.0, 30.0, 1e-11),
+                          (30.0, 500.0, 5e-15)):
+        xs = np.linspace(lo, hi, 121)
+        with mp.workdps(30):
+            ref = np.array([float(mp.besselj(nu, x)) for x in xs])
+        err = np.abs(K.bessel_j(nu, xs) - ref)
+        if lo < 0.5:
+            err /= np.maximum(np.abs(ref), 1.0)
+        assert err.max() <= bound, (lo, hi)
+
+
 def test_bessel_j_known():
     assert K.bessel_j(0.0, 1.0) == pytest.approx(0.76519768655796655, rel=1e-12)
     assert K.bessel_j(1.0, 2.0) == pytest.approx(0.57672480775687338, rel=1e-12)
@@ -361,6 +377,42 @@ def test_airy_gram_matches_kernel():
             assert gram[i, j] == pytest.approx(K.kernel_airy(2.0, xs[i], 2.0, xs[j]), abs=1e-14)
 
 
+def _airy_gram_formula(xs, ys):
+    """The integrable quotient, and the quartic in d = x - y wherever |d| < 2e-3;
+    also the number of such pairs."""
+    ai, aip = K._airy_both(xs)
+    ai_y, aip_y = K._airy_both(ys)
+    d = xs[:, None] - ys[None, :]
+    near = np.abs(d) < 2e-3
+    out = (ai[:, None] * aip_y - aip[:, None] * ai_y) / np.where(near, 1.0, d)
+    i, j = np.nonzero(near)
+    d, f, fp, y = d[i, j], ai_y[j], aip_y[j], ys[j]
+    ff, fpfp, ffp = f * f, fp * fp, f * fp
+    out[i, j] = (fpfp - y * ff - d * ff / 2.0
+                 + d**2 * (y * fpfp - ffp - y * y * ff) / 6.0
+                 + d**3 * (fpfp - 2.0 * y * ff) / 12.0
+                 + d**4 * (y * y * fpfp - 2.0 * y * ffp - 4.0 * ff - y**3 * ff) / 120.0)
+    return out, len(i)
+
+
+@pytest.mark.parametrize("m, a, b, off_diagonal_near", [
+    (48, -6.0, 10.0, 0), (160, -2.0, 12.0, 0), (256, -2.0, 12.0, 4)])
+def test_airy_gram_equals_quotient_and_quartic(m, a, b, off_diagonal_near):
+    xs, _ = gl_nodes(m, a, b)
+    want, near = _airy_gram_formula(xs, xs)
+    assert near - m == off_diagonal_near
+    assert np.array_equal(K.airy_kernel().equal_time_matrix(0.0, xs), want)
+
+
+def test_airy_block_near_pairs_equal_quotient_and_quartic():
+    rng = np.random.default_rng(7)
+    xs = rng.uniform(-13.0, 11.0, 60)
+    ys = np.concatenate([xs[::-2] + rng.normal(scale=1e-3, size=30), xs[:5], [20.0, -20.0]])
+    want, near = _airy_gram_formula(xs, ys)
+    assert near >= 20
+    assert np.array_equal(K._airy_block(0.5, xs, 0.5, ys), want)
+
+
 def test_airy_kernel_decay():
     assert K.kernel_airy(1.0, 6.0, 1.0, 6.0) < math.exp(-6.0)
 
@@ -371,6 +423,20 @@ def test_hard_edge_closed_vs_integral():
             closed = K.kernel_bessel_hard(nu, 1.0, x0, 1.0, y0)
             intval = K._hard_edge_head(nu, 0.0, np.array([x0]), np.array([y0]))[0, 0]
             assert abs(closed - intval) <= 1e-6
+
+
+@pytest.mark.parametrize("nu", [-0.4, 0.0, 2.3])
+def test_hard_edge_near_pairs_take_the_full_head(nu):
+    # the head evaluated at the near pairs only equals the full-grid head there
+    xs, _ = gl_nodes(40, 0.0, 9.0)
+    gram = K.bessel_hard_kernel(nu).equal_time_matrix(1.0, xs)
+    full = K._hard_edge_head(nu, 0.0, xs, xs)
+    assert np.abs(np.diag(gram) - np.diag(full)).max() <= 1e-14
+    ys = xs[::-1] + np.where(np.arange(40) % 3 == 0, 5e-5, 1e-3)
+    block = K._hard_edge_block(nu, 1.0, xs, 1.0, ys)
+    i, j = np.nonzero(np.abs(xs[:, None] - ys[None, :]) < 1e-4)
+    assert len(i) >= 10
+    assert np.abs(block[i, j] - K._hard_edge_head(nu, 0.0, xs, ys)[i, j]).max() <= 1e-14
 
 
 def test_hard_edge_diagonal_at_nu_2_3():
