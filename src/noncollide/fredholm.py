@@ -84,7 +84,9 @@ def fredholm_det(spec: GapSpec) -> float:
     """det(I - W^(1/2) K W^(1/2)) on the windowed kernel at spec.time.
 
     An empty window gives det(I) = 1.  Values outside [0, 1] by less than
-    1e-10 are clamped (with a warning); larger excursions are reported as
+    1e-10 are clamped; the clamp warns only beyond the rounding floor
+    m 2^-52 of the m x m determinant, so a left-tail value that is rounding
+    noise around 0 returns 0 quietly.  Larger excursions are reported as
     instability.
     """
     a, b = _resolve_window(spec)
@@ -100,13 +102,16 @@ def fredholm_det(spec: GapSpec) -> float:
     np.negative(mat, out=mat)
     mat.flat[:: spec.m + 1] += 1.0
     val = float(np.linalg.det(mat))
+    floor = spec.m * 2.0**-52
     if val < -1e-10 or val > 1.0 + 1e-10:
         warnings.warn(f"Fredholm determinant {val} outside [0,1] beyond clamp margin")
-    if -1e-10 <= val < 0.0:
-        warnings.warn("Fredholm determinant clamped up to 0")
+    elif val < 0.0:
+        if val < -floor:
+            warnings.warn("Fredholm determinant clamped up to 0")
         val = 0.0
-    if 1.0 < val <= 1.0 + 1e-10:
-        warnings.warn("Fredholm determinant clamped down to 1")
+    elif val > 1.0:
+        if val > 1.0 + floor:
+            warnings.warn("Fredholm determinant clamped down to 1")
         val = 1.0
     return val
 
@@ -145,8 +150,8 @@ def tracy_widom_fredholm(alpha: float, m: int = 48) -> float:
     determinants for alpha in [-12, 8], and doubling the default m moves it
     by less than 1e-14 (``verify --suite fredholm`` checks this once).  The
     cut at x = 10 drops the kernel's trace on (10, inf), 2.9e-22.  Below
-    alpha ~ -11.9, where F2 < 1e-61, the value is rounding noise of ~1e-63
-    and may be clamped up to 0 with :func:`fredholm_det`'s warning.
+    alpha ~ -11.9, where F2 < 1e-61, the value is rounding noise of ~1e-63,
+    and :func:`fredholm_det` clamps it quietly to 0 when it falls below 0.
     """
     if not -12.0 <= alpha <= 8.0:
         raise DomainError("alpha in [-12, 8] supported")

@@ -208,6 +208,24 @@ def test_harish_chandra_n2_mc():
     assert r.deviation_sigmas <= 3.0
 
 
+@pytest.mark.parametrize("n", [2, 4])
+def test_harish_chandra_lhs_matches_complex_products(n):
+    """The |U|^2 route averages the same integrand as ||X - U^dag Y U||^2
+    computed from the complex products, over the same Haar draws."""
+    # not arithmetic progressions: for those, sum x_i y_j |U_ji|^2 is the same
+    # for U and U^*, which would hide a wrong antithetic term
+    xv = np.array([-0.7, 0.1, 0.25, 1.3])[:n]
+    yv = np.array([0.2, 1.4, 1.5, 2.6])[:n]
+    sigma, n_mc = 0.8, 3000
+    r = ens.harish_chandra_check(A(*xv), A(*yv), sigma, n_mc, RngStream(11, 20 + n))
+    u = ens._haar_batch(n, n_mc, RngStream(11, 20 + n))
+    vals = 0.0
+    for uu in (u, np.conj(np.swapaxes(u, 1, 2))):
+        m = np.diag(xv)[None] - np.conj(np.swapaxes(uu, 1, 2)) * yv @ uu
+        vals = vals + 0.5 * np.exp(-np.sum(np.abs(m) ** 2, axis=(1, 2)) / (2 * sigma**2))
+    assert r.lhs_mc == pytest.approx(vals.mean(), rel=1e-13, abs=0.0)
+
+
 def test_harish_chandra_symmetry_and_degeneracy():
     x, y = A(0.0, 1.0), A(0.5, 2.0)
     rxy = ens.harish_chandra_check(x, y, 1.0, 10, RngStream(11, 14))

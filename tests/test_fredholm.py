@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -219,3 +220,41 @@ def test_fredholm_value_in_unit_interval():
         )
         v = F.fredholm_det(spec)
         assert 0.0 <= v <= 1.0
+
+
+def test_left_tail_rounding_noise_clamps_quietly():
+    """Deep left-tail determinants are rounding noise around 0 (the raw
+    values are about -5e-64 for tracy_widom_fredholm(-12)); they return 0
+    without a warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert F.tracy_widom_fredholm(-12.0) == 0.0
+        assert F.rightmost_cdf(8, 0.5, -3.0) == 0.0
+
+
+class _DiagonalKernel:
+    """Kernel stub whose Nystrom matrix on (0, 1) is diag(det, 1, ..., 1)."""
+
+    def __init__(self, det):
+        self.det = det
+
+    def equal_time_matrix(self, t, nodes):
+        k = np.zeros((len(nodes), len(nodes)))
+        k[0, 0] = (1.0 - self.det) / F.gauss_legendre(len(nodes), 0.0, 1.0).weights[0]
+        return k
+
+
+@pytest.mark.parametrize("det, clamped, warns", [
+    (-1e-15, 0.0, False),  # within the floor 8 * 2**-52 = 1.8e-15
+    (-1e-12, 0.0, True),
+    (-1e-9, -1e-9, True),  # beyond the clamp margin: reported, not clamped
+    (1.0 + 1e-15, 1.0, False),
+    (1.0 + 1e-12, 1.0, True),
+])
+def test_fredholm_clamp_warns_beyond_rounding_floor(det, clamped, warns):
+    spec = F.GapSpec(kernel=_DiagonalKernel(det), time=0.0, window=(0.0, 1.0), m=8)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        val = F.fredholm_det(spec)
+    assert val == pytest.approx(clamped, rel=1e-3, abs=0.0)
+    assert bool(seen) == warns

@@ -124,6 +124,16 @@ def test_step_stats_recorded():
     assert "rejected_steps" in run.step_stats
 
 
+@pytest.mark.parametrize("k", [1, 2, 7, 8, 9, 16, 17, 128, 129, 300])
+def test_row_sum_matches_contiguous_reduce(k):
+    """The (N, K, P) row sum adds in the order of numpy's sum along a
+    contiguous axis, so the particle-major engine keeps the path-major bits."""
+    rng = np.random.default_rng(k)
+    a = rng.standard_normal((3, k, 5)) * np.exp(8.0 * rng.standard_normal((3, k, 5)))
+    path_major = np.ascontiguousarray(a.transpose(2, 0, 1))
+    assert np.array_equal(sde._row_sum(a), np.add.reduce(path_major, axis=-1).T)
+
+
 # Pinned random-number path of the halving engine: (system, param, x0, output
 # times, stream id, dt_max, paths) -> (rejected_steps, max_halving_depth) and
 # the coordinates [0, -1, 0], [paths // 2, 0, 1], [-1, -1, -1] of the cloud.
@@ -145,6 +155,14 @@ RNG_PATH_CASES = {
     "bessel_nu0_n8_interior": (
         ("bessel", 0.0, [0.5 * (k + 1) for k in range(8)], (0.5, 1.0), 43, 1e-2, 100),
         (2124, 4), (0.597254381408896, 0.8646477966060998, 9.093041779294078)),
+    # N = 9: the pairwise sum over 8 terms and more, with a remainder of 1
+    "dyson_b4_n9_interior": (
+        ("dyson", 4.0, [0.3 * (k - 4) for k in range(9)], (0.5, 1.0), 45, 1e-2, 120),
+        (2787, 4), (-7.037919192702657, -3.349357954912628, 5.642055302304877)),
+    # N = 17: two blocks of 8 and a remainder of 1
+    "bessel_nu1_n17_interior": (
+        ("bessel", 1.0, [0.3 * (k + 1) for k in range(17)], (0.5, 1.0), 46, 1e-2, 60),
+        (11819, 7), (1.0765598420846998, 0.8337514682120635, 12.546949130291166)),
     # steps of 16 reach the floor dt_max / 2**10 and its same-size retries
     "bessel_floor_retries": (
         ("bessel", 0.0, [0.5, 1.0, 1.5], (16.0,), 44, 16.0, 50), (2430, 11),
