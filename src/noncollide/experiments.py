@@ -728,6 +728,22 @@ def _suite_fredholm(seed: int) -> ExperimentReport:
     worst = max(abs(fred.tracy_widom_fredholm(a) - fred.tracy_widom_fredholm(a, m=96))
                 for a in (-10.0, -6.0, -3.0, 0.0, 3.0, 7.9))
     rep.add("tw_nodes_converged", worst, worst <= 1e-14)
+    # rightmost_cdf's node rule m(N) against 2 m(N), across each window
+    worst = 0.0
+    for n in (1, 8, 160, 320):
+        lo, hi, m = fred._rightmost_rule(n, 1.0)
+        for a in np.linspace(lo, hi, 11)[1:-1]:
+            worst = max(worst, abs(fred.rightmost_cdf(n, 1.0, a)
+                                   - fred.rightmost_cdf(n, 1.0, a, m=2 * m)))
+    rep.add("rightmost_nodes_converged", worst, worst <= 1e-14)
+    # the N -> inf edge limit: max over s of |F_N(2 sqrt N + s N^(-1/6)) - F2(s)|
+    # falls like N^(-2/3), so err(N) / err(4N) tends to 4^(2/3)
+    s_grid = np.arange(-3.0, 2.0)
+    f2 = [fred.tracy_widom_fredholm(s) for s in s_grid]
+    err = {n: max(abs(fred.rightmost_cdf(n, 1.0, 2.0 * math.sqrt(n) + s * n ** (-1.0 / 6.0)) - f)
+                  for s, f in zip(s_grid, f2)) for n in (20, 80, 320)}
+    dev = max(abs(err[n] / err[4 * n] / 4.0 ** (2.0 / 3.0) - 1.0) for n in (20, 80))
+    rep.add("edge_rate", dev, dev <= 0.05)
     return _pin(rep, t0)
 
 

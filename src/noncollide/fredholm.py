@@ -41,7 +41,6 @@ __all__ = [
 class QuadratureRule:
     nodes: np.ndarray
     weights: np.ndarray
-    interval: tuple[float, float]
 
 
 def gauss_legendre(m: int, a: float, b: float) -> QuadratureRule:
@@ -51,33 +50,21 @@ def gauss_legendre(m: int, a: float, b: float) -> QuadratureRule:
     if not a < b:
         raise DomainError("need a < b")
     nodes, weights = gl_nodes(m, a, b)
-    return QuadratureRule(nodes=nodes, weights=weights, interval=(float(a), float(b)))
+    return QuadratureRule(nodes=nodes, weights=weights)
 
 
 @dataclass(frozen=True)
 class GapSpec:
-    """Fredholm-determinant problem: kernel restricted to a window at one time."""
+    """Fredholm-determinant problem: kernel restricted to a finite window at one time."""
 
     kernel: ExtendedKernel
     time: float
-    window: tuple[float, float]  # (a, b); b may be +inf, truncated by length
+    window: tuple[float, float]  # (a, b), finite, a <= b
     m: int = 64
-    length: float = 14.0
 
     def __post_init__(self):
         if self.m < 8:
             raise DomainError("quadrature order m >= 8 required")
-        if self.length < 6.0:
-            raise DomainError("truncation length L >= 6 required")
-
-
-def _resolve_window(spec: GapSpec) -> tuple[float, float]:
-    a, b = spec.window
-    if math.isinf(b):
-        b = a + spec.length
-    if a > b:
-        raise DomainError("inverted window")
-    return a, b
 
 
 def fredholm_det(spec: GapSpec) -> float:
@@ -89,7 +76,9 @@ def fredholm_det(spec: GapSpec) -> float:
     noise around 0 returns 0 quietly.  Larger excursions are reported as
     instability.
     """
-    a, b = _resolve_window(spec)
+    a, b = spec.window
+    if not -math.inf < a <= b < math.inf:
+        raise DomainError("finite window a <= b required")
     if a == b:
         return 1.0
     rule = gauss_legendre(spec.m, a, b)
@@ -102,18 +91,13 @@ def fredholm_det(spec: GapSpec) -> float:
     np.negative(mat, out=mat)
     mat.flat[:: spec.m + 1] += 1.0
     val = float(np.linalg.det(mat))
-    floor = spec.m * 2.0**-52
-    if val < -1e-10 or val > 1.0 + 1e-10:
+    clamped = min(max(val, 0.0), 1.0)
+    if abs(val - clamped) > 1e-10:
         warnings.warn(f"Fredholm determinant {val} outside [0,1] beyond clamp margin")
-    elif val < 0.0:
-        if val < -floor:
-            warnings.warn("Fredholm determinant clamped up to 0")
-        val = 0.0
-    elif val > 1.0:
-        if val > 1.0 + floor:
-            warnings.warn("Fredholm determinant clamped down to 1")
-        val = 1.0
-    return val
+        return val
+    if abs(val - clamped) > spec.m * 2.0**-52:
+        warnings.warn(f"Fredholm determinant {val} clamped to {clamped}")
+    return clamped
 
 
 def fredholm_det_refined(spec: GapSpec) -> tuple[float, float]:
@@ -128,17 +112,31 @@ def fredholm_det_refined(spec: GapSpec) -> tuple[float, float]:
     return fine, err
 
 
-def rightmost_cdf(n: int, t: float, alpha: float, m: int = 96) -> float:
-    """P(rightmost of N noncolliding Brownian particles at time t <= alpha)."""
+def _rightmost_rule(n: int, t: float) -> tuple[float, float, int]:
+    """(a_N, b_N, m) of :func:`rightmost_cdf`: the window's cuts and node count."""
+    edge = 2.0 * math.sqrt(n * t) + 12.0 * math.sqrt(t) * n ** (-1.0 / 6.0)
+    return -8.3 * math.sqrt(t / n), edge, 64 + n // 8
+
+
+def rightmost_cdf(n: int, t: float, alpha: float, m: Optional[int] = None) -> float:
+    """P(rightmost of N noncolliding Brownian particles at time t <= alpha).
+
+    One Nystrom determinant of the Hermite kernel on (alpha, b_N), b_N =
+    2 sqrt(Nt) + 12 sqrt(t) N^(-1/6), with m = 64 + N // 8 nodes unless given:
+    within 1e-14 of m = max(256, N + 160) determinants for N <= 512 and all
+    alpha, with 16 or more nodes to spare at each N measured (README).  m
+    depends on N only, so F is smooth and monotone in alpha.  alpha >= b_N
+    gives 1; alpha <= a_N = -8.3 sqrt(t/N) gives 0, since the top eigenvalue
+    is at least Tr H / N ~ N(0, t/N), so F(a_N) <= Phi(-8.3) = 5.2e-17.
+    """
     if n < 1:
         raise DomainError("N >= 1 required")
     if not t > 0.0:
         raise DomainError("t > 0 required")
-    length = 10.0 * math.sqrt(2.0 * n * t)
-    spec = GapSpec(
-        kernel=hermite_kernel(n), time=t, window=(alpha, math.inf), m=m, length=length
-    )
-    return fredholm_det(spec)
+    lo, hi, nodes = _rightmost_rule(n, t)
+    if alpha >= hi or alpha <= lo:
+        return float(alpha >= hi)
+    return fredholm_det(GapSpec(hermite_kernel(n), t, (alpha, hi), nodes if m is None else m))
 
 
 def tracy_widom_fredholm(alpha: float, m: int = 48) -> float:
@@ -158,14 +156,16 @@ def tracy_widom_fredholm(alpha: float, m: int = 48) -> float:
     return fredholm_det(GapSpec(kernel=airy_kernel(), time=0.0, window=(alpha, 10.0), m=m))
 
 
-def sine_gap(a: float, m: int = 64) -> float:
-    """P(no bulk particle in (-a, a)), via the sine-kernel determinant."""
+def sine_gap(a: float, m: int = 32) -> float:
+    """P(no bulk particle in (-a, a)), density 1/pi, by one m-node Nystrom
+    determinant of the sine kernel: for a < 12, m = 32 is within 1.2e-15 of
+    256-node determinants (16 nodes pass; 24 fail near a = 80).  The gap
+    probability falls with a and is 1.9e-32 at a = 12, so a >= 12 gives 0."""
     if not a > 0.0:
         raise DomainError("a > 0 required")
-    spec = GapSpec(
-        kernel=sine_kernel(), time=0.0, window=(-a, a), m=m, length=max(6.0, 2 * a)
-    )
-    return fredholm_det(spec)
+    if a >= 12.0:
+        return 0.0
+    return fredholm_det(GapSpec(kernel=sine_kernel(), time=0.0, window=(-a, a), m=m))
 
 
 # ---------------------------------------------------------------------------

@@ -230,8 +230,12 @@ def _airy_table(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _airy_both(x) -> tuple[np.ndarray, np.ndarray]:
     """(Ai, Ai'): :func:`_airy_negative` below _AIRY_LO, the Taylor table
-    on [_AIRY_LO, _AIRY_HI], :func:`_airy_decaying` above it."""
+    on [_AIRY_LO, _AIRY_HI], :func:`_airy_decaying` above it.  An argument
+    of two or more dimensions is evaluated flat and reshaped."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.ndim > 1:
+        ai, aip = _airy_both(x.ravel())
+        return ai.reshape(x.shape), aip.reshape(x.shape)
     lo, hi = np.fmin.reduce(x, initial=np.inf), np.fmax.reduce(x, initial=-np.inf)
     if lo < -1e3 or hi > 1e3:
         raise DomainError("|x| <= 1e3 supported")

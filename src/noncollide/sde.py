@@ -156,12 +156,13 @@ class _Engine:
         A state whose next drift increment would cover more than a quarter
         of the distance to the chamber boundary is rejected: the explicit
         scheme cannot resolve the singular layer there, and accepting such
-        states strands paths where no admissible step exists.
+        states strands paths where no admissible step exists.  It runs
+        inside :meth:`advance`'s ``np.errstate``, which silences the drift's
+        divisions at ties and the wall.
         """
-        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            f = self.drift(x)
-            reach = np.abs(f)
-            reach *= h
+        f = self.drift(x)
+        reach = np.abs(f)
+        reach *= h
         # |f_i| h against a quarter of each gap beside particle i (and of the
         # distance to the wall); NaN drift compares False, the conservative outcome
         gaps = x[1:] - x[:-1]
@@ -221,22 +222,23 @@ class _Engine:
     ) -> np.ndarray:
         """Advance from t_from to t_to; ``warmup`` enables time-proportional
         substeps (h <= 0.05 t) that resolve the singular drift after a
-        zero start."""
-        f = self.drift(x)
-        if warmup:
-            t = t_from
-            while t < t_to - 1e-15:
-                h = min(dt_max, max(0.05 * t, 1e-4 * dt_max), t_to - t)
-                if t_to - (t + h) < 0.5 * h:
-                    h = t_to - t
+        zero start.  One ``np.errstate`` covers every drift evaluation."""
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            f = self.drift(x)
+            if warmup:
+                t = t_from
+                while t < t_to - 1e-15:
+                    h = min(dt_max, max(0.05 * t, 1e-4 * dt_max), t_to - t)
+                    if t_to - (t + h) < 0.5 * h:
+                        h = t_to - t
+                    x, f = self._step(x, f, h, 0)
+                    t += h
+                return x
+            n_steps = max(1, int(math.ceil((t_to - t_from) / dt_max - 1e-12)))
+            h = (t_to - t_from) / n_steps
+            for _ in range(n_steps):
                 x, f = self._step(x, f, h, 0)
-                t += h
             return x
-        n_steps = max(1, int(math.ceil((t_to - t_from) / dt_max - 1e-12)))
-        h = (t_to - t_from) / n_steps
-        for _ in range(n_steps):
-            x, f = self._step(x, f, h, 0)
-        return x
 
 
 def _run_cloud(

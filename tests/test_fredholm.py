@@ -39,16 +39,12 @@ def test_gauss_legendre_structure():
 
 def test_rank_one_identity():
     # K = phi_0 phi_0 on (0, inf): det = 1 - int_0^inf phi_0^2 = 1/2 by parity
-    spec = F.GapSpec(
-        kernel=K.hermite_kernel(1), time=0.5, window=(0.0, math.inf), m=64, length=12.0
-    )
+    spec = F.GapSpec(kernel=K.hermite_kernel(1), time=0.5, window=(0.0, 12.0), m=64)
     assert F.fredholm_det(spec) == pytest.approx(0.5, abs=1e-9)
 
 
 def test_empty_window_gives_one():
-    spec = F.GapSpec(
-        kernel=K.hermite_kernel(2), time=0.5, window=(1.0, 1.0), m=16, length=6.0
-    )
+    spec = F.GapSpec(kernel=K.hermite_kernel(2), time=0.5, window=(1.0, 1.0), m=16)
     assert F.fredholm_det(spec) == 1.0
 
 
@@ -57,6 +53,11 @@ def test_rightmost_cdf_n1_gaussian():
         v = F.rightmost_cdf(1, t, a)
         phi = 0.5 * (1.0 + math.erf(a / math.sqrt(2.0 * t)))
         assert abs(v - phi) <= 1e-8
+    # across both cuts, (a_1, b_1) = (-8.3, 14) sqrt(t), to rounding
+    for t in (0.5, 3.0):
+        for a in np.linspace(-9.0, 15.0, 97) * math.sqrt(t):
+            phi = 0.5 * math.erfc(-a / math.sqrt(2.0 * t))
+            assert abs(F.rightmost_cdf(1, t, a) - phi) <= 5e-15
 
 
 def test_rightmost_cdf_limits_and_monotone():
@@ -77,6 +78,49 @@ def test_rightmost_cdf_vs_mc_max_eigenvalue():
         emp = float(np.mean(top <= alpha))
         se = math.sqrt(f * (1 - f) / len(top))
         assert abs(emp - f) <= 3 * se
+
+
+def test_rightmost_cdf_n160_matches_192_nodes():
+    n, t = 160, 0.5
+    lo, hi, m = F._rightmost_rule(n, t)
+    edge = math.sqrt(t) * n ** (-1.0 / 6.0)
+    assert m == 84
+    for alpha in np.linspace(lo, hi, 13)[1:-1]:
+        fine = F.fredholm_det(F.GapSpec(K.hermite_kernel(n), t, (alpha, hi), 192))
+        # eight more edge scales past the cut b_N
+        wide = F.fredholm_det(F.GapSpec(K.hermite_kernel(n), t, (alpha, hi + 8.0 * edge), 256))
+        assert abs(F.rightmost_cdf(n, t, alpha) - fine) <= 1e-14
+        assert abs(F.rightmost_cdf(n, t, alpha) - wide) <= 1e-14
+
+
+@pytest.mark.parametrize("n, t", [(1, 1.0), (8, 0.5), (320, 2.0)])
+def test_rightmost_cdf_exact_beyond_the_cuts(n, t):
+    lo, hi, _ = F._rightmost_rule(n, t)
+    assert lo == -8.3 * math.sqrt(t / n)
+    assert hi == 2.0 * math.sqrt(n * t) + 12.0 * math.sqrt(t) * n ** (-1.0 / 6.0)
+    for alpha in (hi, hi + 1e-9, 2.0 * hi):
+        assert F.rightmost_cdf(n, t, alpha) == 1.0
+    for alpha in (lo, lo - 1e-9, -5.0 * hi):
+        assert F.rightmost_cdf(n, t, alpha) == 0.0
+
+
+@pytest.mark.parametrize("n, t", [(1, 1.0), (8, 0.5), (80, 0.7), (320, 1.0)])
+def test_rightmost_cdf_in_unit_interval_without_warning(n, t):
+    _, hi, _ = F._rightmost_rule(n, t)
+    alphas = np.linspace(-1.2 * 2.0 * math.sqrt(n * t), hi, 61)
+    if n == 80:  # the old 10 sqrt(2Nt) window returned 855 here
+        alphas = np.append(alphas, -17.96)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = np.array([F.rightmost_cdf(n, t, float(a)) for a in alphas])
+    assert np.all((vals >= 0.0) & (vals <= 1.0))
+    assert np.all(np.diff(vals[:61]) >= -1e-14)
+
+
+def test_fredholm_det_requires_finite_window():
+    for window in ((0.0, math.inf), (-math.inf, 0.0), (1.0, 0.0), (math.nan, 1.0)):
+        with pytest.raises(DomainError):
+            F.fredholm_det(F.GapSpec(K.airy_kernel(), 0.0, window, 16))
 
 
 def test_tracy_widom_right_tail():
@@ -204,10 +248,18 @@ def test_sine_gap_limits_and_monotone():
     assert F.sine_gap(1e-4) == pytest.approx(1.0, abs=1e-4)
 
 
+def test_sine_gap_default_nodes_converged_and_zero_past_the_cut():
+    for a in (0.01, 0.7, 2.0, 5.0, 11.9):
+        fine = F.fredholm_det(F.GapSpec(K.sine_kernel(), 0.0, (-a, a), 128))
+        assert abs(F.sine_gap(a) - fine) <= 1e-14
+    # the gap probability falls with a, so a >= 12 is below its value at 12
+    at_cut = F.fredholm_det(F.GapSpec(K.sine_kernel(), 0.0, (-12.0, 12.0), 128))
+    assert 0.0 < at_cut < 1e-31
+    assert F.sine_gap(12.0) == F.sine_gap(80.0) == F.sine_gap(1e6) == 0.0
+
+
 def test_nystrom_doubling_error_bar():
-    spec = F.GapSpec(
-        kernel=K.airy_kernel(), time=0.0, window=(-2.0, 12.0), m=64, length=14.0
-    )
+    spec = F.GapSpec(kernel=K.airy_kernel(), time=0.0, window=(-2.0, 12.0), m=64)
     val, err = F.fredholm_det_refined(spec)
     assert err <= 1e-8
 
@@ -215,8 +267,7 @@ def test_nystrom_doubling_error_bar():
 def test_fredholm_value_in_unit_interval():
     for a in (-4.0, -1.0, 1.0):
         spec = F.GapSpec(
-            kernel=K.airy_kernel(), time=0.0, window=(a, math.inf), m=64,
-            length=max(14.0, 9.0 - a),
+            kernel=K.airy_kernel(), time=0.0, window=(a, a + max(14.0, 9.0 - a)), m=64
         )
         v = F.fredholm_det(spec)
         assert 0.0 <= v <= 1.0

@@ -316,6 +316,25 @@ def test_extended_grams_match_scalar_kernels():
     assert np.array_equal(lgram, lgram.T)
 
 
+@pytest.mark.parametrize("kern", [K.hermite_kernel(4), K.laguerre_kernel(3, 0.5),
+                                  K.sine_kernel(), K.airy_kernel(), K.bessel_hard_kernel(1.5)],
+                         ids=["hermite", "laguerre", "sine", "airy", "hard_edge"])
+@pytest.mark.parametrize("s, t", [(1.0, 0.6), (0.6, 1.0)], ids=["s_after_t", "s_before_t"])
+def test_multi_point_two_time_blocks_match_scalar(kern, s, t):
+    # three points at s against two at t: every head evaluates a 2-d argument
+    xs, ys = np.array([0.1, 0.2, 0.5]), np.array([0.3, 0.9])
+    if kern.domain == "line":
+        ys = ys - 1.3
+    want = np.array([[kern.evaluate(s, x, t, y) for y in ys] for x in xs])
+    assert np.abs(kern.block(s, xs, t, ys) - want).max() <= 1e-15
+
+
+def test_airy_three_point_two_time_correlation():
+    pts = [(0.0, 0.1), (0.0, 0.2), (1.0, 0.3)]
+    assert K.correlation_function(K.airy_kernel(), pts) == pytest.approx(
+        3.30437401e-07, rel=1e-8)
+
+
 def test_laguerre_kernel_trace_and_reproducing():
     for nu in (-0.4, 0.5):
         q = 2.0 if nu == 0.5 else 1.0 / (1.0 + nu)
