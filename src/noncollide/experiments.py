@@ -228,11 +228,16 @@ def run_marginal_check(
 ) -> ExperimentReport:
     """Spectra of a Gaussian beta-ensemble (GUE/GOE/GSE distinct levels at
     variance t, or the beta-tridiagonal model, static at t = 1) gated on their
-    exact moments; for GUE also the top eigenvalue against rightmost_cdf."""
+    exact moments; for GUE also the top eigenvalue against rightmost_cdf.
+    Laguerre spectra (levels sqrt(lambda)) and class C/D spectra (positive
+    levels) are the Bessel system from 0 at nu and nu = +-1/2, gated on
+    ``_laguerre_moments``; Wishart raises RouteInapplicable."""
     t0 = time.monotonic()
     beta = {"gue": 2.0, "goe": 1.0, "gse": 4.0, "beta_tridiagonal": kind.beta}.get(kind.tag)
-    if beta is None:
-        raise RouteInapplicable("moment gates cover gue/goe/gse/beta_tridiagonal")
+    nu = {"laguerre": kind.nu, "class_c": 0.5, "class_d": -0.5}.get(kind.tag)
+    if beta is None and nu is None:
+        raise RouteInapplicable(
+            "moment gates cover gue/goe/gse/beta_tridiagonal/laguerre/class_c/class_d")
     rep = ExperimentReport(
         experiment_id=f"marginal-{kind.tag}-n{kind.n}",
         parameters={"tag": kind.tag, "n": kind.n, "t": t, "n_samples": n_samples,
@@ -241,6 +246,10 @@ def run_marginal_check(
         streams=[stream.stream_id],
     )
     lam = ens.sample_spectra(kind, t, n_samples, stream, distinct=True)
+    if nu is not None:
+        levels = np.sqrt(lam) if kind.tag == "laguerre" else lam
+        _moment_gate(rep, "moments", levels, _laguerre_moments(nu, kind.n, t))
+        return _pin(rep, t0)
     t_eff = 1.0 if kind.tag == "beta_tridiagonal" else t
     _moment_gate(rep, "moments", lam, _gaussian_moments(beta, kind.n, t_eff))
     if kind.tag == "gue":

@@ -14,16 +14,29 @@ configuration are bootstrapped by one exact ensemble sample
 particles correctly.
 
 Cost model: each proposal, accepted or not, costs one drift evaluation and
-one Gaussian draw of its (P, N) shape.  The drift travels with the state:
-the validity check evaluates it at the proposal, and the next step from an
-accepted state reuses that value, so only the start of each output segment
-adds an evaluation.  One evaluation is O(P N^2) work on an (N, N, P) array
-of pairwise inverse differences.
+P N Gaussian increments.  The drift travels with the state: the validity
+check evaluates it at the proposal, and the next step from an accepted
+state reuses that value, so only the start of each output segment adds an
+evaluation.  One evaluation is O(P N^2) work on an (N, N, P) array of
+pairwise inverse differences; at N = 2 it is one division, 1 / (v_1 - v_0),
+and its negative.
+
+Draws: the increments come from a ``core.NormalPrefetch`` of the stream,
+which a helper thread keeps two blocks ahead (blocks of up to 16 top-level
+steps, 2**10 to 2**15 values), so the Philox draws overlap the drift and
+chamber arithmetic; numpy releases the GIL while it fills a block.  With fewer than
+two usable CPUs the next block is drawn inline when the current one runs
+out.  Each proposal takes the next P N values of the stream's sequence and
+reads them path-major, as (P, N), exactly as ``stream.normal((P, N))`` fills
+them, and substeps take the following values.  When the cloud ends,
+returns or raises, the stream is rewound to the values taken, so it stands
+where direct draws would have left it and a caller may keep drawing from
+it.  ``_run_cloud`` opens and closes the helper; no thread outlives it.
 
 Layout: the engine keeps the state, the drift and the proposals
 particle-major, as C-contiguous (N, P) arrays with one column per path, so
 every elementwise operation runs over rows of length P rather than over
-rows of length N (often 2 or 8).  The Gaussian draws are still taken as
+rows of length N (often 2 or 8).  The Gaussian increments are read as
 (P, N) and added transposed, and the pairwise sums add their terms in the
 order numpy uses along a contiguous axis, so the clouds are bit for bit
 those of a path-major engine.  ``_run_cloud`` transposes once on the way in
@@ -41,7 +54,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import Chamber, OrderedConfiguration, RngStream, TimeGrid, validate_chamber
+from .core import (Chamber, NormalPrefetch, OrderedConfiguration, RngStream, TimeGrid,
+                   validate_chamber)
 from .ensembles import origin_spectra
 from .errors import BetaOutOfRange, DomainError, NuOutOfRange, StepFloorReached
 
@@ -49,6 +63,9 @@ __all__ = ["SdeRun", "simulate_dyson", "simulate_bessel_system",
            "dyson_cloud", "bessel_cloud", "dump_path_csv"]
 
 _MAX_HALVINGS = 10
+_FLOOR_RETRIES = 200  # same-size retries at the floor before StepFloorReached
+# prefetched normal blocks: 16 top-level steps, within these bounds
+_BLOCK_STEPS, _BLOCK_MIN, _BLOCK_MAX = 16, 2**10, 2**15
 
 
 @dataclass
@@ -80,8 +97,8 @@ def _row_sum(a: np.ndarray) -> np.ndarray:
             out += a[:, j]
         return out
     if k <= 128:
-        r = a[:, :8].copy()
         m = k - k % 8
+        r = a[:, :8].copy() if m > 8 else a[:, :8]  # written to only when m > 8
         for i in range(8, m, 8):
             r += a[:, i:i + 8]
         out = (r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3])
@@ -99,9 +116,18 @@ def _inverse_gap_sums(v: np.ndarray) -> np.ndarray:
     The (N, N, P) array of differences keeps every elementwise operation on
     contiguous rows of length P.  Its diagonal rows are set to inf, so they
     add 1/inf = 0; an exact tie between two particles gives an infinite or
-    NaN sum, which ``_Engine._valid`` rejects.
+    NaN sum, which ``_Engine._valid`` rejects.  At N = 2 the sums are
+    (-d, d) with d = 1 / (v_1 - v_0), the same bits: v_0 - v_1 = -(v_1 - v_0)
+    and 1/(-x) = -(1/x) exactly, and 1/inf adds +0.  Only at an exact tie do
+    they differ, as -inf against +inf, and ``_valid`` reads just |f|.
     """
     n, p = v.shape
+    if n == 2:
+        out = np.empty_like(v)
+        np.subtract(v[1], v[0], out=out[1])
+        np.divide(1.0, out[1], out=out[1])
+        np.negative(out[1], out=out[0])
+        return out
     inv = v[:, None, :] - v[None, :, :]
     inv.reshape(n * n, p)[:: n + 1] = np.inf
     np.divide(1.0, inv, out=inv)
@@ -139,15 +165,17 @@ def _in_chamber(x: np.ndarray, positive: bool) -> np.ndarray:
 class _Engine:
     """Halving Euler-Maruyama steps of an (N, P) cloud, one column per
     path, the drift carried with the state (see the module docstring's
-    cost model)."""
+    cost model).  Counts its proposals and the normals they take."""
 
-    def __init__(self, drift, positive: bool, reflect: bool, stream: RngStream):
+    def __init__(self, drift, positive: bool, reflect: bool, normals: NormalPrefetch):
         self.drift = drift
         self.positive = positive
         self.reflect = reflect
-        self.stream = stream
+        self.normals = normals
         self.rejected = 0
         self.max_depth = 0
+        self.proposals = 0
+        self.normals_taken = 0
 
     def _valid(self, x: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
         """Chamber membership plus drift resolvability at step size h, and
@@ -161,27 +189,31 @@ class _Engine:
         divisions at ties and the wall.
         """
         f = self.drift(x)
-        reach = np.abs(f)
-        reach *= h
         # |f_i| h against a quarter of each gap beside particle i (and of the
-        # distance to the wall); NaN drift compares False, the conservative outcome
+        # distance to the wall), compared as 4 |f_i| h <= gap: scaling by 4 is
+        # exact, so the outcome is that of |f_i| h <= gap / 4 unless a quarter
+        # gap is subnormal; NaN drift compares False, the conservative outcome
+        reach = np.abs(f)
+        reach *= 4.0 * h
         gaps = x[1:] - x[:-1]
-        quarter = 0.25 * gaps
         ok = gaps > 0.0
-        ok &= reach[:-1] <= quarter
-        ok &= reach[1:] <= quarter
+        ok &= reach[:-1] <= gaps
+        ok &= reach[1:] <= gaps
         ok = np.logical_and.reduce(ok, axis=0)
         if self.positive:
             ok &= x[0] > 0.0
-            ok &= reach[0] <= 0.25 * x[0]
+            ok &= reach[0] <= x[0]
         return ok, f
 
     def _propose(self, x: np.ndarray, f: np.ndarray, h: float) -> np.ndarray:
         prop = f * h
         prop += x
-        # drawn path-major, as (P, N), so the stream's path is layout-free
-        noise = self.stream.normal(x.shape[::-1])
+        # read path-major, as (P, N), so the stream's path is layout-free
+        n, p = x.shape
+        noise = self.normals.take(n * p).reshape(p, n)
         noise *= math.sqrt(h)
+        self.proposals += 1
+        self.normals_taken += n * p
         prop += noise.T
         return np.abs(prop, out=prop) if self.reflect else prop
 
@@ -199,7 +231,7 @@ class _Engine:
         if depth >= _MAX_HALVINGS:
             # at the floor: bounded same-size retries before giving up
             idx = np.flatnonzero(bad)
-            for _ in range(200):
+            for _ in range(_FLOOR_RETRIES):
                 retry = self._propose(x[:, idx], f[:, idx], h)
                 ok, f_retry = self._valid(retry, h)
                 prop[:, idx[ok]] = retry[:, ok]
@@ -271,7 +303,6 @@ def _run_cloud(
     if not zero_start:
         validate_chamber(xv, chamber)
 
-    eng = _Engine(drift, positive, reflect, stream)
     # the engine runs particle-major, (N, P); the cloud is (P, T, N)
     out = np.empty((len(times), n, n_paths))
     if zero_start:
@@ -280,14 +311,20 @@ def _run_cloud(
     else:
         t_cur = 0.0
         x = np.repeat(xv[:, None], n_paths, axis=1)
-    for k, t_out in enumerate(times):
-        if t_out > t_cur:
-            x = eng.advance(x, t_cur, t_out, dt_max, warmup=zero_start)
-            t_cur = t_out
-        if not np.all(_in_chamber(x, positive)):
-            raise StepFloorReached("chamber violated at an output time")  # pragma: no cover
-        out[k] = x
-    stats = {"rejected_steps": eng.rejected, "max_halving_depth": eng.max_depth}
+    pn = n * n_paths
+    block = pn * max(min(_BLOCK_STEPS, _BLOCK_MAX // pn), -(-_BLOCK_MIN // pn), 1)
+    # the bootstrap above has drawn; from here on the prefetch helper is the only drawer
+    with NormalPrefetch(stream, block) as normals:
+        eng = _Engine(drift, positive, reflect, normals)
+        for k, t_out in enumerate(times):
+            if t_out > t_cur:
+                x = eng.advance(x, t_cur, t_out, dt_max, warmup=zero_start)
+                t_cur = t_out
+            if not np.all(_in_chamber(x, positive)):
+                raise StepFloorReached("chamber violated at an output time")  # pragma: no cover
+            out[k] = x
+    stats = {"rejected_steps": eng.rejected, "max_halving_depth": eng.max_depth,
+             "proposals": eng.proposals, "normals": eng.normals_taken}
     return np.ascontiguousarray(out.transpose(2, 0, 1)), stats
 
 

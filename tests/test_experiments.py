@@ -88,6 +88,16 @@ def test_run_marginal_any_beta_and_size():
         assert rep.passed and "moments" in rep.verdicts
 
 
+@pytest.mark.parametrize("kind", [ens.EnsembleKind("laguerre", 3, nu=2),
+                                  ens.EnsembleKind("class_c", 3), ens.EnsembleKind("class_d", 3)],
+                         ids=lambda k: k.tag)
+def test_run_marginal_bessel_system_spectra(kind):
+    """Laguerre and class C/D spectra are the Bessel system from 0: gated on
+    the Laguerre moments at nu, +1/2 and -1/2."""
+    rep = ex.run_marginal_check(kind, 0.7, 4000, RngStream(17, 1))
+    assert rep.passed and "moments" in rep.verdicts
+
+
 def test_report_roundtrip():
     rep = ex.ExperimentReport(
         experiment_id="x", parameters={"n": 2}, seed=0, streams=[1]

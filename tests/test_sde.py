@@ -1,12 +1,14 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from noncollide import ensembles as ens
-from noncollide import sde
+from noncollide import core, sde
 from noncollide.core import RngStream, TimeGrid, validate_chamber
-from noncollide.errors import BetaOutOfRange, DomainError, NuOutOfRange
+from noncollide.errors import BetaOutOfRange, DomainError, NuOutOfRange, StepFloorReached
 from oracles import two_sample_ks
 
 A = lambda *v: validate_chamber(list(v), "A")
@@ -183,7 +185,7 @@ def test_rng_path_pinned(case):
 def test_drift_once_per_proposal(case, monkeypatch):
     """Each proposal costs one drift evaluation, plus one per advance segment."""
     (system, param, x0, times, sid, dt_max, paths), _, _ = RNG_PATH_CASES[case]
-    calls = {"drift": 0, "normal": 0}
+    calls = {"drift": 0}
     name = "_dyson_drift" if system == "dyson" else "_bessel_drift"
     make_drift = getattr(sde, name)
 
@@ -197,14 +199,85 @@ def test_drift_once_per_proposal(case, monkeypatch):
         return counted
 
     monkeypatch.setattr(sde, name, counted_make)
-    stream = RngStream(21, sid)
-    normal = stream.normal
-
-    def counted_normal(size=None):
-        calls["normal"] += 1
-        return normal(size)
-
-    stream.normal = counted_normal
-    _, stats = sde._run_cloud(system, param, x0, TimeGrid.of(times), stream, dt_max, paths)
+    _, stats = sde._run_cloud(system, param, x0, TimeGrid.of(times), RngStream(21, sid),
+                              dt_max, paths)
     assert stats["max_halving_depth"] > 0
-    assert calls["drift"] == calls["normal"] + len(times)
+    assert calls["drift"] == stats["proposals"] + len(times)
+
+
+def test_chunked_philox_normals_equal_one_draw():
+    """Gaussian draws in chunks are one draw of the total size, in order, and
+    leave the generator in the same state: the prefetched blocks rest on this."""
+    sizes = (8000, 3, 1, 65536, 17)
+    a, b = RngStream(5, 1), RngStream(5, 1)
+    chunks = np.concatenate([a.normal(k) for k in sizes])
+    assert np.array_equal(chunks, b.normal(sum(sizes)))
+    # the state dict holds small uint64 arrays; their repr shows every element
+    assert repr(a._gen.bit_generator.state) == repr(b._gen.bit_generator.state)
+
+
+@pytest.mark.parametrize("k", [0, 1, 999, 1000, 1001, 2500])
+@pytest.mark.parametrize("threaded", [True, False])
+def test_prefetch_takes_in_stream_order(k, threaded, monkeypatch):
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 2 if threaded else 1)
+    a, b = RngStream(6, 2), RngStream(6, 2)
+    sizes = (k, 7, k)
+    with core.NormalPrefetch(a, 1000) as src:
+        got = np.concatenate([src.take(n) for n in sizes])
+    assert np.array_equal(got, b.normal(sum(sizes)))
+    assert np.array_equal(a.normal(5), b.normal(5))
+
+
+@pytest.mark.parametrize("threaded", [True, False])
+@pytest.mark.parametrize("case", sorted(RNG_PATH_CASES))
+def test_cloud_leaves_stream_where_direct_draws_would(case, threaded, monkeypatch):
+    """With the helper thread on and off: the pinned cloud, and the stream
+    after it advanced by exactly the normals the engine took."""
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 2 if threaded else 1)
+    (system, param, x0, times, sid, dt_max, paths), pinned, coords = RNG_PATH_CASES[case]
+    stream = RngStream(21, sid)
+    out, stats = sde._run_cloud(system, param, x0, TimeGrid.of(times), stream, dt_max, paths)
+    assert (stats["rejected_steps"], stats["max_halving_depth"]) == pinned
+    assert (out[0, -1, 0], out[paths // 2, 0, 1], out[-1, -1, -1]) == coords
+    # a twin advanced as direct draws would have: the zero-start bootstrap, then
+    # the engine's normals
+    twin = RngStream(21, sid)
+    if not any(x0):
+        ens.origin_spectra(system, param, len(x0), min(dt_max, times[0]), paths, twin)
+    twin.normal(stats["normals"])
+    assert np.array_equal(stream.normal(5), twin.normal(5))
+
+
+@pytest.mark.parametrize("threaded", [True, False])
+def test_raising_cloud_rewinds_stream_and_stops_helper(threaded, monkeypatch):
+    """NaN drift rejects every proposal: one per halving down to the floor,
+    then the floor retries, then StepFloorReached; the stream is rewound to
+    exactly those draws and the helper thread is gone."""
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 2 if threaded else 1)
+    monkeypatch.setattr(sde, "_dyson_drift", lambda beta: lambda x: np.full_like(x, np.nan))
+    n, paths = 3, 50
+    before = set(threading.enumerate())
+    stream = RngStream(21, 16)
+    with pytest.raises(StepFloorReached):
+        sde.dyson_cloud(2.0, A(-1.0, 0.0, 1.0), GRID1, stream, 1e-2, paths)
+    assert set(threading.enumerate()) <= before
+    twin = RngStream(21, 16)
+    twin.normal((sde._MAX_HALVINGS + 1 + sde._FLOOR_RETRIES) * n * paths)
+    assert np.array_equal(stream.normal(5), twin.normal(5))
+
+
+def test_prefetch_under_frequent_thread_switches(monkeypatch):
+    """Thread switches at any bytecode leave the handed-out values and the
+    stream's end state those of direct draws."""
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        a, b = RngStream(8, 3), RngStream(8, 3)
+        sizes = [int(k) for k in np.random.default_rng(0).integers(0, 700, 400)]
+        with core.NormalPrefetch(a, 1024) as src:
+            got = np.concatenate([src.take(n) for n in sizes])
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(got, b.normal(sum(sizes)))
+    assert np.array_equal(a.normal(5), b.normal(5))
