@@ -101,8 +101,10 @@ def _row_sum(a: np.ndarray) -> np.ndarray:
         r = a[:, :8].copy() if m > 8 else a[:, :8]  # written to only when m > 8
         for i in range(8, m, 8):
             r += a[:, i:i + 8]
-        out = (r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3])
-        out += (r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7])
+        # the pairs (r0+r1), (r2+r3), (r4+r5), (r6+r7), then their pairs, in three calls
+        r = r[:, 0::2] + r[:, 1::2]
+        r = r[:, 0::2] + r[:, 1::2]
+        out = r[:, 0] + r[:, 1]
         for j in range(m, k):
             out += a[:, j]
         return out
