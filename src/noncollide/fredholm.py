@@ -70,6 +70,13 @@ class GapSpec:
 def fredholm_det(spec: GapSpec) -> float:
     """det(I - W^(1/2) K W^(1/2)) on the windowed kernel at spec.time.
 
+    A kernel with a ``factor`` (``ExtendedKernel``: K = F.T @ F, F of shape
+    (rank, m) at the m nodes) is taken in rank space: with B = F W^(1/2),
+    Sylvester's identity gives det(I_m - B.T B) = det(I_rank - B B.T), and
+    the smaller of the two Grams is factored, O(rank^2 m + rank^3) for
+    rank < m.  Other kernels assemble the m x m Nystrom matrix from
+    ``equal_time_matrix``.
+
     An empty window gives det(I) = 1.  Values outside [0, 1] by less than
     1e-10 are clamped; the clamp warns only beyond the rounding floor
     m 2^-52 of the m x m determinant, so a left-tail value that is rounding
@@ -82,14 +89,20 @@ def fredholm_det(spec: GapSpec) -> float:
     if a == b:
         return 1.0
     rule = gauss_legendre(spec.m, a, b)
-    # every equal_time_matrix returns a fresh array, so the Nystrom matrix
-    # I - W^(1/2) K W^(1/2) is assembled in it, with no m x m temporaries
-    mat = spec.kernel.equal_time_matrix(spec.time, rule.nodes)
     root_w = np.sqrt(rule.weights)
-    mat *= root_w[:, None]
-    mat *= root_w
+    factor = spec.kernel.factor
+    if factor is not None:
+        rows = factor(spec.time, rule.nodes)
+        rows *= root_w
+        mat = rows @ rows.T if len(rows) < spec.m else rows.T @ rows
+    else:
+        # every equal_time_matrix returns a fresh array, so the Nystrom matrix
+        # I - W^(1/2) K W^(1/2) is assembled in it, with no m x m temporaries
+        mat = spec.kernel.equal_time_matrix(spec.time, rule.nodes)
+        mat *= root_w[:, None]
+        mat *= root_w
     np.negative(mat, out=mat)
-    mat.flat[:: spec.m + 1] += 1.0
+    mat.flat[:: len(mat) + 1] += 1.0
     val = float(np.linalg.det(mat))
     clamped = min(max(val, 0.0), 1.0)
     if abs(val - clamped) > 1e-10:
@@ -129,10 +142,11 @@ def rightmost_cdf(n: int, t: float, alpha: float, m: Optional[int] = None) -> fl
     gives 1; alpha <= a_N = -8.3 sqrt(t/N) gives 0, since the top eigenvalue
     is at least Tr H / N ~ N(0, t/N), so F(a_N) <= Phi(-8.3) = 5.2e-17.
     """
-    if n < 1:
-        raise DomainError("N >= 1 required")
+    if not n >= 1 or n % 1 != 0:
+        raise DomainError("N must be an integer >= 1")
     if not t > 0.0:
         raise DomainError("t > 0 required")
+    n = int(n)
     lo, hi, nodes = _rightmost_rule(n, t)
     if alpha >= hi or alpha <= lo:
         return float(alpha >= hi)
@@ -180,6 +194,11 @@ _PII_X0 = 8.0
 # the CDF is below 1e-18 absolutely.
 _PII_XMIN = -8.0
 _PII_H = 1e-3
+# 4-point Gauss-Legendre rule on [-1, 1] in closed form, (node, weight)
+_GL4 = tuple((sign * node, weight) for node, weight in (
+    (math.sqrt(3.0 / 7.0 - 2.0 / 7.0 * math.sqrt(1.2)), (18.0 + math.sqrt(30.0)) / 36.0),
+    (math.sqrt(3.0 / 7.0 + 2.0 / 7.0 * math.sqrt(1.2)), (18.0 - math.sqrt(30.0)) / 36.0),
+) for sign in (-1.0, 1.0))
 
 
 def _pii_rhs(x: float, q: float, qp: float) -> tuple[float, float]:
@@ -280,16 +299,25 @@ class _PainleveTable:
         csum = np.concatenate(([0.0], np.cumsum(0.5 * (f[1:] + f[:-1]))))
         return self.h * csum + (self.h**2 / 12.0) * (fp - fp[0])
 
-    def q_at(self, x: np.ndarray) -> np.ndarray:
-        """Hermite-cubic interpolant of q at the points x in [x_min, x0]."""
-        if np.any(x > self.x0) or np.any(x < self.xs[-1]):
-            raise DomainError("x outside the cached Painleve range")
-        idx = np.minimum(np.floor((self.x0 - x) / self.h).astype(int), len(self.xs) - 2)
-        xa, qa, qb = self.xs[idx], self.qs[idx], self.qs[idx + 1]
-        hseg = self.xs[idx + 1] - xa  # negative
-        s = (x - xa) / hseg
-        return ((1 + 2 * s) * (1 - s) ** 2 * qa + s * (1 - s) ** 2 * hseg * self.qps[idx]
-                + s * s * (3 - 2 * s) * qb + s * s * (s - 1) * hseg * self.qps[idx + 1])
+    def cell_integral(self, idx: int, lo: float, alpha: float) -> float:
+        """int (x - alpha) q^2 over [lo, x_idx], part of the cell [x_{idx+1},
+        x_idx], with q the Hermite cubic through the cell's (q, q'): the
+        integrand has degree 7, so the 4-point Gauss-Legendre rule is exact;
+        Python floats."""
+        xa = float(self.xs[idx])
+        hseg = float(self.xs[idx + 1]) - xa  # negative
+        qa, qb = float(self.qs[idx]), float(self.qs[idx + 1])
+        da, db = hseg * float(self.qps[idx]), hseg * float(self.qps[idx + 1])
+        half, mid = 0.5 * (xa - lo), 0.5 * (xa + lo)
+        total = 0.0
+        for u, w in _GL4:
+            x = mid + half * u
+            s = (x - xa) / hseg
+            r2 = (1.0 - s) * (1.0 - s)
+            q = ((1.0 + 2.0 * s) * r2 * qa + s * r2 * da
+                 + s * s * ((3.0 - 2.0 * s) * qb + (s - 1.0) * db))
+            total += w * (x - alpha) * q * q
+        return half * total
 
 
 _TABLE: Optional[_PainleveTable] = None
@@ -307,9 +335,9 @@ def tracy_widom_painleve(alpha: float) -> float:
 
     The integral is I1 - alpha I0 with the table's cumulative moments
     I_k = int_{x_lo}^inf x^k q^2 at x_lo, the table point at or above alpha,
-    plus a 16-point Gauss-Legendre rule on the Hermite-cubic interpolant
-    over the partial cell [alpha, x_lo]; above the table (alpha >= 8) it is
-    the closed-form Airy tail.  It agrees with a Nystrom determinant of the
+    plus the exact 4-point Gauss-Legendre rule on the Hermite-cubic
+    interpolant over the partial cell [alpha, x_lo]; above the table
+    (alpha >= 8) it is the closed-form Airy tail.  It agrees with a Nystrom determinant of the
     Airy kernel to 3e-12 on [-6, 4], off-grid alpha included.
 
     Below the resolvable table (alpha < -8) the integrand continues with
@@ -334,6 +362,5 @@ def tracy_widom_painleve(alpha: float) -> float:
     i0, i1 = tab.moments[:, idx]
     total = i1 - alpha * i0 + extra
     if x_lo > alpha_eff:
-        nodes, wts = gl_nodes(16, alpha_eff, x_lo)
-        total += float(np.dot(wts, (nodes - alpha) * tab.q_at(nodes) ** 2))
+        total += tab.cell_integral(idx, alpha_eff, alpha)
     return math.exp(-total)

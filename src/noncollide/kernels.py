@@ -407,6 +407,10 @@ class ExtendedKernel:
     ``block(s, xs, t, ys)`` is the primary form, the matrix K(s, xs_i; t, ys_j)
     for 1-d float arrays.  ``evaluate`` is its scalar entry with the family's
     domain checks and ``equal_time_matrix(t, xs)`` the Gram block(t, xs, t, xs).
+    A finite-rank family also has ``factor(t, xs)``, a fresh (rank, len xs)
+    matrix F with ``equal_time_matrix(t, xs) = F.T @ F`` to rounding, which
+    :func:`noncollide.fredholm.fredholm_det` uses; only the Hermite kernel
+    has one, every other family has None.
     """
 
     family: str
@@ -416,6 +420,7 @@ class ExtendedKernel:
     domain: str  # "line" or "halfline"
     n: Optional[int] = None
     nu: Optional[float] = None
+    factor: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
 
 
 def _head_sum(features: Callable, weights, xa: np.ndarray, ya: np.ndarray, same: bool):
@@ -670,9 +675,16 @@ def _extended(family: str, domain: str, block: Callable, evaluate: Callable,
     return ExtendedKernel(family, block, evaluate, gram, domain, **params)
 
 
+def _hermite_factor(n: int, t: float, xs: np.ndarray) -> np.ndarray:
+    """phi_0..phi_{N-1} at xs / sqrt 2t times (2t)^(-1/4): the Gram's factor."""
+    out = hermite_phi_sequence(n - 1, np.asarray(xs, dtype=float) / math.sqrt(2.0 * t))
+    out *= (2.0 * t) ** -0.25
+    return out
+
+
 def hermite_kernel(n: int) -> ExtendedKernel:
     return _extended("HermiteN", "line", partial(_hermite_block, n),
-                     partial(kernel_hermite, n), n=n)
+                     partial(kernel_hermite, n), n=n, factor=partial(_hermite_factor, n))
 
 
 def laguerre_kernel(n: int, nu: float) -> ExtendedKernel:

@@ -286,6 +286,8 @@ def test_left_tail_rounding_noise_clamps_quietly():
 class _DiagonalKernel:
     """Kernel stub whose Nystrom matrix on (0, 1) is diag(det, 1, ..., 1)."""
 
+    factor = None
+
     def __init__(self, det):
         self.det = det
 
@@ -309,3 +311,80 @@ def test_fredholm_clamp_warns_beyond_rounding_floor(det, clamped, warns):
         val = F.fredholm_det(spec)
     assert val == pytest.approx(clamped, rel=1e-3, abs=0.0)
     assert bool(seen) == warns
+
+
+def _gram_nystrom(kernel, t, window, m):
+    """det(I - W^(1/2) K W^(1/2)), the m x m Nystrom matrix from the Gram."""
+    rule = F.gauss_legendre(m, *window)
+    rw = np.sqrt(rule.weights)
+    gram = kernel.equal_time_matrix(t, rule.nodes)
+    return float(np.linalg.det(np.eye(m) - rw[:, None] * gram * rw))
+
+
+@pytest.mark.parametrize("n, m", [(1, 64), (2, 33), (8, 65), (20, 16), (20, 64),
+                                  (160, 84), (160, 192), (320, 104), (320, 352)])
+def test_rank_route_matches_gram_route(n, m):
+    """m < N factors I - B.T B, m > N the rank-space I - B B.T.  Above 128
+    nodes each route carries its own ~1e-15 rounding (both are within
+    1.1e-15 of 30-digit determinants at N = 160, m = 192), so their gap
+    may grow with m."""
+    t = 0.7
+    kern = K.hermite_kernel(n)
+    _, hi, _ = F._rightmost_rule(n, t)
+    # across the edge, 2 sqrt(Nt) - 5 ... + 4 edge scales; with too few
+    # nodes for the whole window, the edge part from -3 scales only
+    scales = np.linspace(-5.0 if m >= 28 else -3.0, 4.0, 9)
+    alphas = 2.0 * math.sqrt(n * t) + math.sqrt(t) * n ** (-1.0 / 6.0) * scales
+    nodes = F.gauss_legendre(m, alphas[0], hi).nodes
+    fac = kern.factor(t, nodes)
+    gram = kern.equal_time_matrix(t, nodes)
+    assert fac.shape == (n, m)
+    assert np.allclose(fac.T @ fac, gram, rtol=0.0, atol=1e-14 * np.abs(gram).max())
+    tol = 1e-15 if m <= 128 else 2e-17 * m
+    for alpha in alphas:
+        got = F.fredholm_det(F.GapSpec(kern, t, (alpha, hi), m))
+        assert abs(got - _gram_nystrom(kern, t, (alpha, hi), m)) <= tol
+
+
+def test_kernel_without_factor_takes_the_gram_path():
+    calls = []
+
+    class Counted(_DiagonalKernel):
+        def equal_time_matrix(self, t, nodes):
+            calls.append(len(nodes))
+            return super().equal_time_matrix(t, nodes)
+
+    spec = F.GapSpec(kernel=Counted(0.25), time=0.0, window=(0.0, 1.0), m=8)
+    assert F.fredholm_det(spec) == pytest.approx(0.25, abs=1e-15)
+    assert calls == [8]
+    assert K.airy_kernel().factor is None and K.sine_kernel().factor is None
+
+
+@pytest.mark.parametrize("n", [2.5, 0, -1, math.nan, math.inf])
+def test_rightmost_cdf_rejects_non_integer_n(n):
+    with pytest.raises(DomainError, match="N must be an integer >= 1"):
+        F.rightmost_cdf(n, 1.0, 0.5)
+
+
+def test_rightmost_cdf_integral_float_n():
+    assert F.rightmost_cdf(2.0, 1.0, 0.5) == F.rightmost_cdf(2, 1.0, 0.5)
+
+
+def test_painleve_partial_cell_matches_16_node_rule():
+    """The 4-point cell rule against 16 Gauss-Legendre nodes on the same
+    Hermite cubic, both added to the table's moments: within 2 ulp."""
+    tab = F._table()
+    x16, w16 = np.polynomial.legendre.leggauss(16)
+    rng = np.random.default_rng(20)
+    for alpha in rng.uniform(-8.0, 8.0, 200):
+        idx = int(math.floor((tab.x0 - alpha) / tab.h))
+        x_lo = tab.xs[idx]
+        nodes = alpha + 0.5 * (x_lo - alpha) * (x16 + 1.0)
+        wts = 0.5 * (x_lo - alpha) * w16
+        xa, hseg = tab.xs[idx], tab.xs[idx + 1] - tab.xs[idx]
+        s = (nodes - xa) / hseg
+        q = ((1 + 2 * s) * (1 - s) ** 2 * tab.qs[idx] + s * (1 - s) ** 2 * hseg * tab.qps[idx]
+             + s * s * (3 - 2 * s) * tab.qs[idx + 1] + s * s * (s - 1) * hseg * tab.qps[idx + 1])
+        i0, i1 = tab.moments[:, idx]
+        want = math.exp(-(i1 - alpha * i0 + float(np.dot(wts, (nodes - alpha) * q * q))))
+        assert abs(F.tracy_widom_painleve(alpha) - want) <= 2 * np.spacing(want)
