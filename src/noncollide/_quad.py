@@ -2,8 +2,8 @@
 
 The public quadrature surface lives in :mod:`noncollide.fredholm`; this
 module holds the cached Legendre rules that every module maps, and the
-adaptive panel driver of the density module.  All integrands are expected
-to be vectorized over numpy arrays.
+adaptive panel driver of ``verify``'s reference integrals.  All integrands
+are expected to be vectorized over numpy arrays.
 """
 
 from __future__ import annotations
@@ -58,8 +58,6 @@ def adaptive_quad(
     a: float,
     b: float,
     rel_tol: float = 1e-10,
-    abs_tol: float = 0.0,
-    max_depth: int = 24,
 ) -> float:
     """Adaptive bisection with an embedded 30/61-point Legendre pair.
 
@@ -70,13 +68,13 @@ def adaptive_quad(
         x, w = gl_nodes(m, lo, hi)
         return float(np.dot(w, f(x)))
 
-    total_scale = abs(rule(a, b, 61)) + abs_tol
+    total_scale, max_depth = abs(rule(a, b, 61)), 24
 
     def recurse(lo: float, hi: float, depth: int) -> float:
         coarse = rule(lo, hi, 30)
         fine = rule(lo, hi, 61)
         err = abs(fine - coarse)
-        tol_here = max(rel_tol * max(total_scale, abs(fine)), abs_tol, 1e-300)
+        tol_here = max(rel_tol * max(total_scale, abs(fine)), 1e-300)
         if err <= tol_here or depth >= max_depth:
             if depth >= max_depth and err > 100.0 * tol_here:
                 raise QuadratureUnstable(

@@ -78,7 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--a-min", type=float, default=0.1)
     pt.add_argument("--a-max", type=float, default=2.0)
     pt.add_argument("--step", type=float, default=0.1)
-    pt.add_argument("--seed", type=int, default=None)
     pt.add_argument("--out", default="-")
     pt.add_argument("--plot", action="store_true",
                     help="emit a self-contained plotting script next to the CSV")

@@ -202,10 +202,6 @@ class RngStream:
         key = np.array([self.seed & _MASK64, self.stream_id & _MASK64], dtype=np.uint64)
         self._gen = Generator(Philox(key=key))
 
-    def child(self, stream_id: int) -> "RngStream":
-        """Fresh stream with the same seed and a different stream id."""
-        return RngStream(self.seed, stream_id)
-
     # thin draw wrappers; everything funnels through the one generator
     def normal(self, size=None) -> np.ndarray | float:
         return self._gen.standard_normal(size)

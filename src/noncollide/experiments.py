@@ -27,7 +27,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._quad import gl_nodes
+from ._quad import adaptive_quad, gl_nodes
 from .core import Chamber, RngStream, TimeGrid, validate_chamber
 from .densities1d import DensityParams
 from .errors import DomainError, RouteInapplicable
@@ -177,7 +177,7 @@ class ExperimentReport:
     def passed(self) -> bool:
         return all(self.verdicts.values())
 
-    def to_json(self, include_timing: bool = False) -> str:
+    def to_json(self) -> str:
         doc = {
             "experiment_id": self.experiment_id,
             "parameters": self.parameters,
@@ -186,8 +186,6 @@ class ExperimentReport:
             "statistics": self.statistics,
             "verdicts": self.verdicts,
         }
-        if include_timing:
-            doc["wall_time"] = self.wall_time
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
     @staticmethod
@@ -200,7 +198,6 @@ class ExperimentReport:
             streams=doc["streams"],
             statistics=doc["statistics"],
             verdicts=doc["verdicts"],
-            wall_time=doc.get("wall_time", 0.0),
         )
 
 
@@ -337,15 +334,13 @@ def _gnt_origin_moments(n: int, T: float, t: float) -> np.ndarray:
     tensor quadrature of the density over |y| < 8 sqrt t + 2 sqrt(N t).  At N = 2
     it matches the closed form to <= 3e-15 relative for 1e-3 T <= t <= 0.99 T
     and 3.1e-13 at t = 0.999 T, where the survival factor's boundary layer of
-    width sqrt(T - t) starts to need more nodes; 48 nodes read 5e-9 at t = 0.05 T."""
+    width sqrt(T - t) starts to need more nodes; 48 nodes read 5e-9 at t = 0.05 T.
+    The density at each node is the library's (``karlin_mcgregor._log_g_nt_origin``)."""
     h = 8.0 * math.sqrt(t) + 2.0 * math.sqrt(n * t)
     pts, w = km._ordered_tensor_grid(96, -h, h, n)
-    log_pref = (0.25 * n * (n - 1) * math.log(T) - 0.5 * n * n * math.log(t)
-                - km.constants(n).log_c2)
-    vand = np.prod([pts[:, j] - pts[:, i] for i in range(n) for j in range(i + 1, n)], axis=0)
+    surv = km._survival_pf(T - t, pts)[0]
+    mass = w * np.exp([km._log_g_nt_origin(t, y, T, s_) for y, s_ in zip(pts.tolist(), surv)])
     x2 = pts * pts
-    mass = (w * km._survival_pf(T - t, pts)[0] * vand
-            * np.exp(log_pref - x2.sum(axis=1) / (2.0 * t)))
     return np.array([np.dot(mass, x2.sum(axis=1)), np.dot(mass, (x2 * x2).sum(axis=1))])
 
 
@@ -416,8 +411,6 @@ def _suite_densities(seed: int) -> ExperimentReport:
     rep = ExperimentReport(
         experiment_id="suite-densities", parameters={}, seed=seed, streams=[]
     )
-    from ._quad import adaptive_quad
-
     val = adaptive_quad(lambda y: dens.bm_density(1.0, y, 0.0), -10, 10, rel_tol=1e-12)
     rep.add("bm_norm", val - 1.0, abs(val - 1.0) <= 1e-10)
     val = adaptive_quad(lambda y: dens.bridge_density(0, 0, 0.5, y, 1.0), -8, 8, rel_tol=1e-12)

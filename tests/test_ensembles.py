@@ -139,6 +139,24 @@ def test_eigen_density_exact_matches_mehta_closed_form():
                 assert v == pytest.approx(ref, rel=1e-12), (tag, n, t, x)
 
 
+@pytest.mark.parametrize("y,t", [((2.9, 2.9001), 0.5), ((-3.1, -3.09999, 1.2), 0.3)])
+def test_eigen_density_exact_close_pairs(y, t):
+    # close pairs: dividing by sqrt t before differencing loses 6e-12 and 4.8e-11 here
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        ym = [mp.mpf(v) for v in y]
+        n = len(y)
+        for tag, beta in (("gue", 2), ("goe", 1)):
+            vand = mp.fprod(ym[j] - ym[i] for i in range(n) for j in range(i + 1, n))
+            c = (2 * mp.pi) ** (mp.mpf(n) / 2) / mp.factorial(n) * mp.fprod(
+                mp.gamma(1 + mp.mpf(k * beta) / 2) / mp.gamma(1 + mp.mpf(beta) / 2)
+                for k in range(1, n + 1))
+            exact = (vand ** beta * mp.exp(-mp.fsum(v * v for v in ym) / (2 * mp.mpf(t)))
+                     * mp.mpf(t) ** (-mp.mpf(n) / 2 - mp.mpf(beta) * n * (n - 1) / 4) / c)
+            v = ens.eigen_density_exact(ens.EnsembleKind(tag, n), validate_chamber(y, "A"), t)
+            assert abs(v / exact - 1) <= 1e-13, tag
+
+
 def test_gue_unitary_invariance():
     s = RngStream(11, 7)
     n = 3

@@ -393,6 +393,12 @@ def test_nn_tilde_exact_time_zero():
 @pytest.mark.parametrize("nu,kappa,t,x", [
     (0.5, 1.0, 1.0, 0.7), (0.0, 0.5, 2.0, 1.3), (-0.4, 0.3, 0.5, 0.2),
     (2.3, 1.5, 1.0, 3.0), (-0.9, 0.05, 1.0, 1.0),
+    # three draws on which an adaptive quadrature of the normalizer does not settle
+    (3.173, 0.530, 2.485, 0.995), (3.981, 2.418, 0.808, 0.448), (3.529, 0.889, 1.160, 2.744),
+    # kappa within c = 0.03, 0.007 and 0.0021 of 2 nu + 2, where the wall factor y^(c - 1)
+    # under- and overflows and the bulk crowds into u ~ 1 - c
+    (0.6823, 3.3335, 0.8309, 4.9859), (-0.7314, 0.5302, 2.4613, 0.751),
+    (-0.595, 0.8079, 0.5, 4.865),
 ])
 def test_nn_tilde_single_particle_vs_kummer(nu, kappa, t, x):
     # N = 1: E_x[Y_t^-kappa] = (2t)^(-kappa/2) Gamma(nu + 1 - kappa/2) / Gamma(nu + 1)
@@ -406,9 +412,18 @@ def test_nn_tilde_single_particle_vs_kummer(nu, kappa, t, x):
     est = km.nn_tilde(nu, kappa, t, C(x))
     assert est.method == "pfaffian"
     assert abs(est.value - exact) <= 1e-12 * exact
-    # the meander normalizer is the same quantity by adaptive quadrature
+    # the meander normalizer is the same quantity, through the same route
     h = dens.h_nu_kappa(DensityParams(nu=nu, kappa=kappa, T=t), 0.0, x)
-    assert abs(h - exact) <= 1e-8 * exact
+    assert abs(h - exact) <= 1e-12 * exact
+
+
+def test_nn_tilde_separated_pair_is_product():
+    # 30 sqrt t apart the two particles do not meet (erfc(15) ~ 1e-100), so N~ factorizes;
+    # near the wall at c = 0.1 this start needs more than 256 nodes
+    nu, kappa = -0.9, 0.1
+    pair = km.nn_tilde(nu, kappa, 1.0, validate_chamber([0.05, 30.05], "D")).value
+    one = [km.nn_tilde(nu, kappa, 1.0, validate_chamber([x], "D")).value for x in (0.05, 30.05)]
+    assert abs(pair - one[0] * one[1]) <= 1e-12 * pair
 
 
 def test_nn_tilde_pinned_three_particles():
@@ -447,7 +462,7 @@ def test_g_nt_nu_kappa_reductions():
     params = DensityParams(nu=0.5, kappa=1.0, T=1.0)
     v = km.g_nt_nu_kappa(params, 0.2, C(0.8), 0.9, C(1.4))
     expect = dens.gen_meander_density(params, 0.2, 0.8, 0.9, 1.4)
-    assert v == pytest.approx(expect, rel=1e-6)
+    assert v == pytest.approx(expect, rel=1e-12)
 
 
 def test_g_nt_nu_kappa_origin_normalization():
