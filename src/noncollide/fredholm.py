@@ -216,21 +216,10 @@ def _rk4_step(x: float, q: float, qp: float, h: float) -> tuple[float, float]:
     )
 
 
-def _controlled_step(x: float, q: float, qp: float, h: float, depth: int = 0):
-    """One RK4 step with step-doubling error control at 1e-10."""
-    full = _rk4_step(x, q, qp, h)
-    h1, h2 = _rk4_step(x, q, qp, h / 2), None
-    h2 = _rk4_step(x + h / 2, h1[0], h1[1], h / 2)
-    err = max(abs(full[0] - h2[0]), abs(full[1] - h2[1]))
-    if err <= 1e-10 * max(1.0, abs(h2[0])) or depth >= 6:
-        return h2
-    mid = _controlled_step(x, q, qp, h / 2, depth + 1)
-    return _controlled_step(x + h / 2, mid[0], mid[1], h / 2, depth + 1)
-
-
 def _march(grid: np.ndarray, h_max: float = _PII_H) -> tuple[np.ndarray, np.ndarray]:
-    """(q, q') on a decreasing grid, stepping back from (Ai, Ai') at grid[0]
-    by at most h_max; |q| > 1e6 signals leaving the Hastings-McLeod branch."""
+    """(q, q') on a decreasing grid, stepping back from (Ai, Ai') at grid[0] in steps
+    of at most h_max, each taken as two RK4 half-steps; |q| > 1e6 signals leaving the
+    Hastings-McLeod branch."""
     x = float(grid[0])
     q, qp = airy_ai(x), airy_ai_prime(x)
     qs, qps = np.empty(len(grid)), np.empty(len(grid))
@@ -239,7 +228,8 @@ def _march(grid: np.ndarray, h_max: float = _PII_H) -> tuple[np.ndarray, np.ndar
         target = float(grid[i])
         while x > target + 1e-13:
             h = min(h_max, x - target)
-            q, qp = _controlled_step(x, q, qp, -h)
+            q, qp = _rk4_step(x, q, qp, -h / 2)
+            q, qp = _rk4_step(x - h / 2, q, qp, -h / 2)
             x -= h
             if abs(q) > 1e6:
                 raise DomainError("Painleve II blow-up: x0 too small for the branch")
@@ -250,8 +240,8 @@ def _march(grid: np.ndarray, h_max: float = _PII_H) -> tuple[np.ndarray, np.ndar
 def painleve2_hastings_mcleod(x_grid) -> np.ndarray:
     """Hastings-McLeod solution q(x) on a decreasing grid from x_grid[0] >= 6.
 
-    Integrates q'' = 2 q^3 + x q backward from (Ai(x0), Ai'(x0)) with a
-    fixed-step 4th-order scheme plus step-doubling control; blow-up beyond
+    Integrates q'' = 2 q^3 + x q backward from (Ai(x0), Ai'(x0)) with classical
+    RK4 in steps of at most 5e-4, two per march step of at most 1e-3; blow-up beyond
     1e6 signals leaving the Hastings-McLeod branch.
     """
     grid = np.asarray(x_grid, dtype=float)

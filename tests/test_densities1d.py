@@ -229,7 +229,7 @@ def test_gen_meander_equals_meander():
     for (s, x, t, y) in ((0.0, 0.0, 0.5, 1.0), (0.2, 0.8, 0.9, 1.4), (0.0, 0.0, 1.0, 0.7)):
         gm = dens.gen_meander_density(p, s, x, t, y)
         me = dens.meander_density(s, x, t, y, 1.0)
-        assert abs(gm - me) <= 1e-8
+        assert abs(gm - me) <= 1e-13 * me
 
 
 def test_gen_meander_imhof():

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -173,6 +174,9 @@ def test_vandermonde_values():
     assert km.vandermonde_alpha([1.0, 2.0], 0.0) == 3.0
     with pytest.raises(DomainError):
         km.vandermonde_alpha([-1.0, 2.0], 0.5)
+    # y_j^2 - y_i^2 formed directly loses ~4 digits here; (y_j - y_i)(y_j + y_i) does not
+    exact = Fraction(2.9001) ** 2 - Fraction(2.9) ** 2
+    assert abs(Fraction(km.vandermonde_alpha([2.9, 2.9001], 0.0)) / exact - 1) <= 2.3e-16
 
 
 def test_constants_values():
@@ -469,7 +473,43 @@ def test_g_nt_nu_kappa_origin_normalization():
     params = DensityParams(nu=0.5, kappa=1.0, T=1.0)
     pts, w = km._ordered_tensor_grid(32, 0.0, 7.0, 2)
     vals = np.array([km.g_nt_nu_kappa_origin(params, 0.5, C(*p)) for p in pts])
-    assert abs(float(np.dot(w, vals)) - 1.0) <= 1e-4
+    assert abs(float(np.dot(w, vals)) - 1.0) <= 1e-12
+
+
+_CLOSE_PAIRS = [(2.9, 2.9001), (0.3, 1.2, 1.20001), (1.0, 1.0000001, 2.5)]
+
+
+def _laguerre_reference(mp, beta, nu, kappa, t, y):
+    """|Delta(y^2)|^beta prod y^(2 nu + 1 - (2 - beta) kappa) e^(-|y|^2 / 2t) over its
+    normalizer at variance t, in 50 digits: p_n_nu_origin at beta = 2 (kappa = 0), and
+    g_nt_nu_kappa_origin at t = T, where N~(0, y) = prod y^-kappa, at beta = 1."""
+    n, nu, kappa, t = len(y), mp.mpf(nu), mp.mpf(kappa), mp.mpf(t)
+    y = [mp.mpf(v) for v in y]
+    delta = mp.fprod(y[j] ** 2 - y[i] ** 2 for i in range(n) for j in range(i + 1, n))
+    if beta == 2:
+        log_c = n * (n + nu - 1) * mp.log(2) + mp.fsum(
+            mp.loggamma(i) + mp.loggamma(i + nu) for i in range(1, n + 1))
+        power = n * (n + nu)
+    else:
+        log_c = (n * (n + 2 * nu - kappa - 1) / 2 * mp.log(2) - n * mp.log(mp.pi) / 2
+                 + mp.fsum(mp.loggamma(mp.mpf(i) / 2) + mp.loggamma((i + 2 * nu + 1 - kappa) / 2)
+                           for i in range(1, n + 1)))
+        power = n * (n + 2 * nu - kappa + 1) / 2
+    weight = mp.fprod(v ** (2 * nu + 1 - (2 - beta) * kappa) for v in y)
+    return delta ** beta * weight * mp.exp(-mp.fsum(v * v for v in y) / (2 * t) - log_c) / t ** power
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.5, 1.3])
+@pytest.mark.parametrize("yv", _CLOSE_PAIRS)
+def test_bessel_origin_densities_close_pairs_vs_mpmath(nu, yv):
+    mp = pytest.importorskip("mpmath")
+    t, kappa = 0.8, 0.7
+    with mp.workdps(50):
+        want_p = float(_laguerre_reference(mp, 2, nu, 0.0, t, yv))
+        want_g = float(_laguerre_reference(mp, 1, nu, kappa, t, yv))
+    assert abs(km.p_n_nu_origin(nu, t, C(*yv)) / want_p - 1.0) <= 5e-14
+    got_g = km.g_nt_nu_kappa_origin(DensityParams(nu=nu, kappa=kappa, T=t), t, C(*yv))
+    assert abs(got_g / want_g - 1.0) <= 5e-14
 
 
 def test_p_n_nu_reductions_and_normalization():
