@@ -61,8 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     pt = sub.add_parser("table", help="tabulate a function on a grid")
     pt.add_argument("--what", required=True,
                     choices=["density", "kernel", "tw", "sine-gap", "rightmost"])
-    pt.add_argument("--fn", default="bm",
-                    choices=["bm", "bessel", "pN", "pN-nu", "gN"],
+    pt.add_argument("--fn", default="bm", choices=["bm", "bessel"],
                     help="density selector (for --what density)")
     pt.add_argument("--family", default="sine",
                     choices=["hermite", "laguerre", "sine", "airy", "bessel-hard"])
@@ -70,7 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--nu", type=float, default=0.0)
     pt.add_argument("--t", type=float, default=1.0)
     pt.add_argument("--s", type=float, default=1.0)
-    pt.add_argument("--horizon", type=float, default=1.0)
     pt.add_argument("--x-min", type=float, default=-5.0)
     pt.add_argument("--x-max", type=float, default=5.0)
     pt.add_argument("--alpha-min", type=float, default=-5.0)
@@ -185,7 +183,7 @@ def _cmd_table(args) -> int:
     what = args.what
     header = (
         f"# table what={what} fn={args.fn} family={args.family} n={args.n} "
-        f"nu={_fmt(args.nu)} s={_fmt(args.s)} t={_fmt(args.t)} T={_fmt(args.horizon)}"
+        f"nu={_fmt(args.nu)} s={_fmt(args.s)} t={_fmt(args.t)}"
     )
     rows = [header]
     if what == "tw":
@@ -229,15 +227,11 @@ def _cmd_table(args) -> int:
         _write(args.out, "\n".join(rows) + "\n")
         _emit_plot(args.out, "x", "K", f"{fam} kernel diagonal", xcol=1, ycol=4)
         return 0
-    # densities: one-particle tables; pN, pN-nu and gN reduce to BM / Bessel at N = 1
-    if args.fn in ("pN", "pN-nu", "gN") and args.n != 1:
-        print(f"error: --what density --fn {args.fn} tabulates N = 1 only, "
-              f"got --n {args.n}", file=sys.stderr)
-        return 2
+    # densities: one-particle tables from the origin
     rows.append("y,value")
     for y in _grid(args.x_min, args.x_max, args.step):
         y = float(y)
-        if args.fn in ("bessel", "pN-nu"):
+        if args.fn == "bessel":
             v = dens.bessel_density(args.nu, args.t, y, 0.0) if y >= 0 else 0.0
         else:
             v = dens.bm_density(args.t, y, 0.0)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 import numpy as np
 
 from .core import Chamber, OrderedConfiguration, RngStream, TimeGrid
@@ -32,7 +33,8 @@ from .errors import (
     ParamMissing,
     SizeMismatch,
 )
-from .karlin_mcgregor import _fn_log, _log_gaussian_ensemble, constants, log_vandermonde
+from .densities1d import log_bm_density
+from .karlin_mcgregor import _km_log, _log_gaussian_ensemble, constants, log_vandermonde
 
 __all__ = [
     "EnsembleKind",
@@ -462,7 +464,7 @@ def harish_chandra_check(
     stderr = math.sqrt(var / n_mc)
 
     log_h = log_vandermonde(xv) + log_vandermonde(yv)
-    sign, logdet = _fn_log(sigma * sigma, yv[None, :], xv)
+    sign, logdet = _km_log(partial(log_bm_density, sigma * sigma), yv[None, :], xv)
     log_rhs = constants(n).log_c1 + n * n * math.log(abs(sigma)) - log_h + float(logdet[0])
     rhs = float(sign[0] * math.exp(log_rhs))
     return HarishChandraReport(lhs_mc=mean, lhs_stderr=stderr, rhs_exact=rhs, n_mc=n_mc)

@@ -23,6 +23,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -455,8 +456,8 @@ def _suite_km(seed: int) -> ExperimentReport:
     t0 = time.monotonic()
     stream = RngStream(seed, 100)
     rep = ExperimentReport(experiment_id="suite-km", parameters={}, seed=seed, streams=[100])
-    # dual-route identity on random chamber configurations
-    g, log_g = km.bessel_g(0.5)
+    # f_N^(1/2) against the reflection principle: BES(3) is Brownian motion killed at 0,
+    # h-transformed by h(x) = x, so p(t, y|x) = (y/x) phi_t(y - x)(1 - e^(-2xy/t))
     worst_bessel = 0.0
 
     def random_config(n, chamber):
@@ -472,7 +473,9 @@ def _suite_km(seed: int) -> ExperimentReport:
         xc = random_config(n, Chamber.C)
         yc = random_config(n, Chamber.C)
         a = km.f_n_nu(0.5, 0.6, yc, xc)
-        b = km.km_density(g, 0.0, xc, 0.6, yc, log_g=log_g)
+        xv, yv = xc.as_array()[:, None], yc.as_array()[None, :]
+        b = np.prod(yv) / np.prod(xv) * np.linalg.det(
+            dens.bm_density(0.6, yv, xv) * -np.expm1(-2.0 * xv * yv / 0.6))
         worst_bessel = max(worst_bessel, abs(a - b) / max(abs(a), 1e-300))
     # semigroup identity int_W f_N(t, y|x) N_N(s, y) dy = N_N(t + s, x): a tensor
     # quadrature of the Karlin-McGregor determinant against de Bruijn's Pfaffian
@@ -480,7 +483,7 @@ def _suite_km(seed: int) -> ExperimentReport:
     for xv in (np.array([-0.3, 0.5]), np.array([-0.6, 0.1, 0.9])):
         pts, w = km._ordered_tensor_grid(48, xv[0] - 8.0 * math.sqrt(0.7),
                                          xv[-1] + 8.0 * math.sqrt(0.7), len(xv))
-        sign, logf = km._fn_log(0.7, pts, xv)
+        sign, logf = km._km_log(partial(dens.log_bm_density, 0.7), pts, xv)
         for s in (0.0, 0.5):
             surv = km._survival_pf(s, pts)[0] if s > 0.0 else 1.0
             lhs = float(np.dot(w, sign * np.exp(logf) * surv))
@@ -490,13 +493,13 @@ def _suite_km(seed: int) -> ExperimentReport:
     # the same for the weighted survival at (nu, kappa) = (1/2, 1); N~(0, y) = prod y^-kappa
     x_nu = validate_chamber([0.4, 1.1], Chamber.C)
     pts, w = km._ordered_tensor_grid(32, 0.0, 1.1 + 8.0 * math.sqrt(0.7), 2)
-    sign, logf = km._fn_nu_log(0.5, 0.7, pts, x_nu.as_array())
+    sign, logf = km._km_log(partial(dens.log_bessel_density, 0.5, 0.7), pts, x_nu.as_array())
     worst_nn, nn_pts = 0.0, km._nn_tilde_pf(0.5, 1.0, 0.4, pts)[0]
     for s, inner in ((0.0, 1.0 / np.prod(pts, axis=1)), (0.4, nn_pts)):
         lhs = float(np.dot(w, sign * np.exp(logf) * inner))
         worst_nn = max(worst_nn, abs(lhs / km.nn_tilde(0.5, 1.0, 0.7 + s, x_nu).value - 1.0))
     rep.add("nn_tilde_semigroup", worst_nn, worst_nn <= 1e-12)
-    rep.add("fn_nu_vs_km_bessel", worst_bessel, worst_bessel <= 1e-10)
+    rep.add("fn_nu_half_reflection", worst_bessel, worst_bessel <= 1e-10)
     # multidimensional Imhof at t = T (closed form both sides)
     y = validate_chamber([-1.0, 1.0], Chamber.A)
     r = km.imhof_ratio(1.0, y, 1.0)

@@ -170,16 +170,16 @@ def tracy_widom_fredholm(alpha: float, m: int = 48) -> float:
     return fredholm_det(GapSpec(kernel=airy_kernel(), time=0.0, window=(alpha, 10.0), m=m))
 
 
-def sine_gap(a: float, m: int = 32) -> float:
-    """P(no bulk particle in (-a, a)), density 1/pi, by one m-node Nystrom
-    determinant of the sine kernel: for a < 12, m = 32 is within 1.2e-15 of
+def sine_gap(a: float) -> float:
+    """P(no bulk particle in (-a, a)), density 1/pi, by one 32-node Nystrom
+    determinant of the sine kernel: for a < 12 it is within 1.2e-15 of
     256-node determinants (16 nodes pass; 24 fail near a = 80).  The gap
     probability falls with a and is 1.9e-32 at a = 12, so a >= 12 gives 0."""
     if not a > 0.0:
         raise DomainError("a > 0 required")
     if a >= 12.0:
         return 0.0
-    return fredholm_det(GapSpec(kernel=sine_kernel(), time=0.0, window=(-a, a), m=m))
+    return fredholm_det(GapSpec(kernel=sine_kernel(), time=0.0, window=(-a, a), m=32))
 
 
 # ---------------------------------------------------------------------------

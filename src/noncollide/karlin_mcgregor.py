@@ -8,21 +8,16 @@ meaningless, so all assembly happens on logs and is exponentiated last.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from typing import Callable, Optional
 
 import numpy as np
 
 from .core import Chamber, OrderedConfiguration
-from .densities1d import (
-    _erf_vec,
-    bessel_i_scaled,
-    log_bessel_density,
-    log_bm_density,
-)
+from .densities1d import _erf_vec, log_bessel_density, log_bm_density
 from .errors import (
     AccuracyLossWarning,
     BesselIndexOutOfRange,
@@ -117,6 +112,13 @@ def _check_pair(x: OrderedConfiguration, y: OrderedConfiguration):
         raise SizeMismatch(f"chambers differ: {x.chamber} vs {y.chamber}")
 
 
+def _km_log(log_p: Callable, y_pts: np.ndarray, xv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sign, log|det[p(y_j | x_i)]|) over stacked configurations y_pts (P, N): the
+    Karlin-McGregor determinant of the one-particle log-density log_p(y, x), its time bound,
+    which is called once on the (P, N, N) grid of y_pts[:, None, :] and xv[None, :, None]."""
+    return _logdet_stable(log_p(y_pts[:, None, :], xv[None, :, None]))
+
+
 def km_log_density(
     g: Callable,
     s: float,
@@ -125,18 +127,20 @@ def km_log_density(
     y: OrderedConfiguration,
     log_g: Optional[Callable] = None,
 ) -> tuple[float, float]:
-    """(sign, log|det|) of the noncolliding transition determinant."""
+    """(sign, log|det|) of the noncolliding transition determinant: :func:`_km_log` of
+    ``log_g``, or of log max(g, 0) when only ``g`` is given."""
     _check_pair(x, y)
     if not s < t:
         raise TimeOrdering("need s < t")
-    xc, yr = x.as_array()[:, None], y.as_array()[None, :]
-    if log_g is not None:
-        a = log_g(s, xc, t, yr)
-    else:
+
+    def log_p(yv, xv):
+        if log_g is not None:
+            return log_g(s, xv, t, yv)
         with np.errstate(divide="ignore"):
-            a = np.log(np.maximum(np.asarray(g(s, xc, t, yr), float), 0.0))
-    sign, logabs = _logdet_stable(a)
-    return float(sign), float(logabs)
+            return np.log(np.maximum(np.asarray(g(s, xv, t, yv), float), 0.0))
+
+    sign, logabs = _km_log(log_p, y.as_array()[None, :], x.as_array())
+    return float(sign[0]), float(logabs[0])
 
 
 def km_density(
@@ -147,11 +151,12 @@ def km_density(
     y: OrderedConfiguration,
     log_g: Optional[Callable] = None,
 ) -> float:
-    """det_{ij} g(s, x_i; t, y_j), the Karlin-McGregor transition density.
+    """det_{ij} g(s, x_i; t, y_j), the Karlin-McGregor transition density, by the one
+    determinant route (:func:`_km_log`) that :func:`f_n` and :func:`f_n_nu` share.
 
-    ``g`` (and ``log_g``, when given) are called once, on the (N, N) grid of a start
-    column x[:, None] and a target row y[None, :], so they must broadcast over x and y
-    as :func:`brownian_g` and :func:`bessel_g`'s pair do.
+    ``g`` (or ``log_g``, when given) is called once, on the (1, N, N) grid of starts
+    x[None, :, None] and targets y[None, None, :], so it must broadcast over x and y as
+    :func:`brownian_g` and :func:`bessel_g`'s pair do.
     """
     return _signed_exp(*km_log_density(g, s, x, t, y, log_g))
 
@@ -163,17 +168,28 @@ def _signed_exp(sign: float, logabs: float) -> float:
     return float(sign * math.exp(logabs)) if sign != 0.0 else 0.0
 
 
-def _fn_log(t: float, y_pts: np.ndarray, xv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(sign, log|f_N(t, y|x)|) over stacked configurations y_pts (P, N)."""
-    return _logdet_stable(log_bm_density(t, y_pts[:, None, :], xv[None, :, None]))
+def _doob(sign: float, logf: float, log_hy: float, log_hx: float) -> float:
+    """exp(logf + log h(y) - log h(x)), the Doob transform of an absorbing density by a
+    positive harmonic function h: exactly 0.0 where the determinant's sign or h(y) is not
+    positive (rounding can flip the sign at tight starts), and :class:`DivisionDegeneracy`
+    where h(x) is not."""
+    if not log_hx > -math.inf:
+        raise DivisionDegeneracy("h of the start configuration is not positive")
+    if sign <= 0.0 or not log_hy > -math.inf:
+        return 0.0
+    return math.exp(logf + log_hy - log_hx)
+
+
+def _log_pos(v: float) -> float:
+    return math.log(v) if v > 0.0 else -math.inf
 
 
 def f_n_log(t: float, y: OrderedConfiguration, x: OrderedConfiguration) -> tuple[float, float]:
-    """(sign, log|f_N|) of the absorbing density; :func:`_fn_log` at P = 1."""
+    """(sign, log|f_N|) of the absorbing density: :func:`_km_log` of the Brownian log-density."""
     _check_pair(x, y)
     if not t > 0.0:
         raise TimeOrdering("need s < t")
-    sign, logabs = _fn_log(t, y.as_array()[None, :], x.as_array())
+    sign, logabs = _km_log(partial(log_bm_density, t), y.as_array()[None, :], x.as_array())
     return float(sign[0]), float(logabs[0])
 
 
@@ -287,7 +303,7 @@ def constants(n: int, nu: float = 0.0, kappa: float = 0.0) -> NormalizationConst
     return _constants(n, nu, kappa)
 
 
-@functools.lru_cache(maxsize=1024)
+@lru_cache(maxsize=1024)
 def _constants(n: int, nu: float, kappa: float) -> NormalizationConstants:
     i = np.arange(1, n + 1, dtype=float)
     lg = math.lgamma
@@ -305,7 +321,7 @@ def _constants(n: int, nu: float, kappa: float) -> NormalizationConstants:
     )
 
 
-@functools.lru_cache(maxsize=None)
+@lru_cache(maxsize=None)
 def _gaussian_norm(beta: float, n: int) -> tuple[float, float]:
     """(log C_beta, power of t) of the GOE/GUE/GSE density at variance t, beta = 1/2/4."""
     c = _constants(n, 0.0, 0.0)
@@ -463,15 +479,14 @@ def survival_n(t: float, x: OrderedConfiguration) -> SurvivalEstimate:
 # ---------------------------------------------------------------------------
 
 def g_nt(s: float, x: OrderedConfiguration, t: float, y: OrderedConfiguration, T: float) -> float:
-    """Transition density of the noncolliding Brownian motion on (0, T]."""
+    """Transition density of the noncolliding Brownian motion on (0, T]: f_N(t - s, y|x)
+    Doob-transformed by the survival N_N(T - ., .) (:func:`_doob`), so exactly 0.0 where
+    rounding makes the determinant nonpositive at a tight start."""
     if not (0.0 <= s < t <= T):
         raise TimeOrdering("need 0 <= s < t <= T")
     ny = survival_n(T - t, y).value
     nx = survival_n(T - s, x).value
-    sign, logf = f_n_log(t - s, y, x)
-    if nx <= 0.0:
-        raise DivisionDegeneracy("survival of the start configuration underflowed")
-    return sign * math.exp(logf + math.log(ny) - math.log(nx)) if ny > 0 else 0.0
+    return _doob(*f_n_log(t - s, y, x), _log_pos(ny), _log_pos(nx))
 
 
 def _log_g_nt_origin(t: float, yv, T: float, n_surv: float) -> float:
@@ -497,15 +512,13 @@ def g_nt_origin(t: float, y: OrderedConfiguration, T: float) -> float:
 
 
 def p_n(t: float, y: OrderedConfiguration, x: OrderedConfiguration) -> float:
-    """Transition density of the temporally homogeneous noncolliding BM."""
+    """Transition density of the temporally homogeneous noncolliding BM: f_N(t, y|x)
+    Doob-transformed by the Vandermonde product (:func:`_doob`).  The determinant loses
+    digits as the start x tightens against sqrt t, with no warning."""
     if not t > 0.0:
         raise NonPositiveTime("t must be positive")
     _check_pair(x, y)
-    sign, logf = f_n_log(t, y, x)
-    if sign <= 0.0:
-        return 0.0
-    logv = logf + log_vandermonde(y.as_array()) - log_vandermonde(x.as_array())
-    return math.exp(logv)
+    return _doob(*f_n_log(t, y, x), log_vandermonde(y.as_array()), log_vandermonde(x.as_array()))
 
 
 def p_n_origin(t: float, y: OrderedConfiguration) -> float:
@@ -545,41 +558,21 @@ def _check_positive_config(x: OrderedConfiguration, nu: float):
             raise DomainError("only the nonnegative branch is implemented")
 
 
-def _fn_nu_log(
-    nu: float, t: float, y_pts: np.ndarray, xv: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(sign, log|f_N^(nu)(t, y|x)|) over stacked configurations y_pts (P, N); entries
-    log(e^{-z} I_nu(z)) - (x_i - y_j)^2 / 2t, z = x_i y_j / t: no x^2/2t terms cancel."""
-    xc, yr = xv[None, :, None], y_pts[:, None, :]
-    z = xc * yr / t
-    with np.errstate(divide="ignore"):
-        a = np.log(bessel_i_scaled(nu, z.reshape(-1))).reshape(z.shape)
-    sign, logdet = _logdet_stable(a - (xc - yr) ** 2 / (2.0 * t))
-    with np.errstate(divide="ignore"):
-        pref = (
-            -len(xv) * math.log(t)
-            + np.sum((nu + 1.0) * np.log(y_pts), axis=1)
-            - float(np.sum(nu * np.log(xv)))
-        )
-    return sign, logdet + pref
-
-
 def f_n_nu_log(
     nu: float, t: float, y: OrderedConfiguration, x: OrderedConfiguration
 ) -> tuple[float, float]:
-    """(sign, log) of the noncolliding Bessel absorbing density f_N^(nu)."""
+    """(sign, log) of the noncolliding Bessel absorbing density f_N^(nu): :func:`_km_log` of
+    the Bessel log-density at time t, the route :func:`km_density` takes with :func:`bessel_g`."""
     if not nu > -1.0:
         raise BesselIndexOutOfRange(f"nu must be > -1, got {nu}")
     if not t > 0.0:
         raise NonPositiveTime("t must be positive")
     _check_pair(x, y)
     _check_positive_config(x, nu)
-    xv, yv = x.as_array(), y.as_array()
+    xv = x.as_array()
     if np.any(xv <= 0.0):
         raise DomainError("start coordinates must be strictly positive")
-    if yv[0] == 0.0:
-        return 0.0, -math.inf
-    sign, logv = _fn_nu_log(nu, t, yv[None, :], xv)
+    sign, logv = _km_log(partial(log_bessel_density, nu, t), y.as_array()[None, :], xv)
     return float(sign[0]), float(logv[0])
 
 
@@ -686,14 +679,9 @@ def g_nt_nu_kappa(
     T = params.T
     if not (0.0 <= s < t <= T):
         raise TimeOrdering("need 0 <= s < t <= T")
-    ny = nn_tilde(params.nu, params.kappa, T - t, y)
-    nx = nn_tilde(params.nu, params.kappa, T - s, x)
-    if nx.value <= 0.0:
-        raise DivisionDegeneracy("weighted survival of the start underflowed")
-    sign, logf = f_n_nu_log(params.nu, t - s, y, x)
-    if sign <= 0.0 or ny.value <= 0.0:
-        return 0.0
-    return math.exp(logf + math.log(ny.value) - math.log(nx.value))
+    ny = nn_tilde(params.nu, params.kappa, T - t, y).value
+    nx = nn_tilde(params.nu, params.kappa, T - s, x).value
+    return _doob(*f_n_nu_log(params.nu, t - s, y, x), _log_pos(ny), _log_pos(nx))
 
 
 def g_nt_nu_kappa_origin(params, t: float, y: OrderedConfiguration) -> float:
@@ -717,16 +705,10 @@ def g_nt_nu_kappa_origin(params, t: float, y: OrderedConfiguration) -> float:
 
 
 def p_n_nu(nu: float, t: float, y: OrderedConfiguration, x: OrderedConfiguration) -> float:
-    """Transition density of the noncolliding Bessel process."""
-    sign, logf = f_n_nu_log(nu, t, y, x)
-    if sign <= 0.0:
-        return 0.0
-    logv = (
-        logf
-        + log_vandermonde_alpha(y.as_array(), 0.0)
-        - log_vandermonde_alpha(x.as_array(), 0.0)
-    )
-    return math.exp(logv)
+    """Transition density of the noncolliding Bessel process: f_N^(nu)(t, y|x)
+    Doob-transformed by Delta(y^2) (:func:`_doob`)."""
+    return _doob(*f_n_nu_log(nu, t, y, x), log_vandermonde_alpha(y.as_array(), 0.0),
+                 log_vandermonde_alpha(x.as_array(), 0.0))
 
 
 def p_n_nu_origin(nu: float, t: float, y: OrderedConfiguration) -> float:

@@ -413,13 +413,10 @@ class ExtendedKernel:
     has one, every other family has None.
     """
 
-    family: str
     block: Callable[[float, np.ndarray, float, np.ndarray], np.ndarray]
     evaluate: Callable[[float, float, float, float], float]
     equal_time_matrix: Callable[[float, np.ndarray], np.ndarray]
     domain: str  # "line" or "halfline"
-    n: Optional[int] = None
-    nu: Optional[float] = None
     factor: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
 
 
@@ -665,14 +662,14 @@ def kernel_bessel_hard(nu: float, s: float, x: float, t: float, y: float) -> flo
 # kernel records and correlation functions
 # ---------------------------------------------------------------------------
 
-def _extended(family: str, domain: str, block: Callable, evaluate: Callable,
-              **params) -> ExtendedKernel:
+def _extended(domain: str, block: Callable, evaluate: Callable,
+              factor: Optional[Callable] = None) -> ExtendedKernel:
     """The record of a family: its Gram is the block at s = t."""
     def gram(t: float, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         return block(t, xs, t, xs)
 
-    return ExtendedKernel(family, block, evaluate, gram, domain, **params)
+    return ExtendedKernel(block, evaluate, gram, domain, factor)
 
 
 def _hermite_factor(n: int, t: float, xs: np.ndarray) -> np.ndarray:
@@ -683,26 +680,24 @@ def _hermite_factor(n: int, t: float, xs: np.ndarray) -> np.ndarray:
 
 
 def hermite_kernel(n: int) -> ExtendedKernel:
-    return _extended("HermiteN", "line", partial(_hermite_block, n),
-                     partial(kernel_hermite, n), n=n, factor=partial(_hermite_factor, n))
+    return _extended("line", partial(_hermite_block, n), partial(kernel_hermite, n),
+                     partial(_hermite_factor, n))
 
 
 def laguerre_kernel(n: int, nu: float) -> ExtendedKernel:
-    return _extended("LaguerreN", "halfline", partial(_laguerre_block, n, nu),
-                     partial(kernel_laguerre, n, nu), n=n, nu=nu)
+    return _extended("halfline", partial(_laguerre_block, n, nu), partial(kernel_laguerre, n, nu))
 
 
 def sine_kernel() -> ExtendedKernel:
-    return _extended("Sine", "line", _sine_block, kernel_sine)
+    return _extended("line", _sine_block, kernel_sine)
 
 
 def airy_kernel() -> ExtendedKernel:
-    return _extended("Airy", "line", _airy_block, kernel_airy)
+    return _extended("line", _airy_block, kernel_airy)
 
 
 def bessel_hard_kernel(nu: float) -> ExtendedKernel:
-    return _extended("BesselHard", "halfline", partial(_hard_edge_block, nu),
-                     partial(kernel_bessel_hard, nu), nu=nu)
+    return _extended("halfline", partial(_hard_edge_block, nu), partial(kernel_bessel_hard, nu))
 
 
 def correlation_function(kernel: ExtendedKernel, points) -> float:

@@ -91,18 +91,6 @@ def test_table_kernel_sine_diagonal(tmp_path):
     assert all(math.isfinite(float(row.split(",")[4])) for row in rows)
 
 
-def test_table_density_pn_n1_is_bm(tmp_path):
-    out = tmp_path / "d.csv"
-    rc = run_cli(["table", "--what", "density", "--fn", "pN", "--n", "1", "--t", "1",
-                  "--x-min", "-2", "--x-max", "2", "--step", "0.5", "--out", str(out)])
-    assert rc == 0
-    for row in out.read_text().strip().split("\n")[2:]:
-        y, v = map(float, row.split(","))
-        assert v == pytest.approx(
-            math.exp(-y * y / 2) / math.sqrt(2 * math.pi), rel=1e-12
-        )
-
-
 def test_table_kernel_plot_uses_x_and_value(tmp_path):
     out = tmp_path / "k.csv"
     rc = run_cli(["table", "--what", "kernel", "--family", "hermite", "--n", "3",
@@ -118,19 +106,9 @@ def test_table_kernel_plot_uses_x_and_value(tmp_path):
     assert (header[1], header[4]) == ("x", "value")
 
 
-@pytest.mark.parametrize("fn", ["pN", "pN-nu", "gN"])
-def test_table_density_unsupported_n_fails(tmp_path, capsys, fn):
+def test_table_density_bm_is_gaussian(tmp_path):
     out = tmp_path / "d.csv"
-    rc = run_cli(["table", "--what", "density", "--fn", fn, "--n", "2", "--out", str(out)])
-    assert rc != 0
-    assert not out.exists()
-    err = capsys.readouterr().err
-    assert f"--fn {fn}" in err and "--n 2" in err
-
-
-def test_table_density_gn_n1_is_bm(tmp_path):
-    out = tmp_path / "g.csv"
-    rc = run_cli(["table", "--what", "density", "--fn", "gN", "--n", "1", "--t", "0.5",
+    rc = run_cli(["table", "--what", "density", "--fn", "bm", "--t", "0.5",
                   "--x-min", "-1", "--x-max", "1", "--step", "0.5", "--out", str(out)])
     assert rc == 0
     for row in out.read_text().strip().split("\n")[2:]:

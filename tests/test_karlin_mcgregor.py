@@ -1,11 +1,13 @@
 import math
 import warnings
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
 
 from noncollide import densities1d as dens
+from noncollide import experiments as ex
 from noncollide import karlin_mcgregor as km
 from noncollide.core import RngStream, validate_chamber
 from noncollide.densities1d import DensityParams
@@ -236,6 +238,20 @@ def test_g_nt_horizon_boundary():
         assert v == pytest.approx(expect, rel=1e-12)
 
 
+@pytest.mark.parametrize("c, eps", [(-0.25, 3e-6), (-0.945, 1e-6), (-0.394, 3e-6), (-0.593, 1e-6),
+                                    (0.923, 1e-6), (0.897, 1e-6), (0.655, 1e-6)])
+def test_g_nt_tight_start_never_negative(c, eps):
+    # at these starts rounding can flip the sign of det[p_t(x_i, y_j)]; g_nt then
+    # returns exactly 0.0, as p_n does, not a negative density
+    x = A(*(c + eps * np.array([-1.5, -0.4, 0.3, 1.2])))
+    y = A(-1.0, -0.2, 0.5, 1.3)
+    with pytest.warns(AccuracyLossWarning):
+        g = km.g_nt(0.0, x, 1.0, y, 3.0)
+    assert g >= 0.0
+    if km.p_n(1.0, y, x) == 0.0:
+        assert g == 0.0
+
+
 def test_g_nt_origin_is_goe_at_horizon():
     from noncollide.ensembles import EnsembleKind, eigen_density_exact
 
@@ -368,6 +384,14 @@ def test_fn_nu_dual_route():
         assert abs(a - b) <= 1e-10 * max(a, 1e-300)
 
 
+def test_half_reflection_gate_sees_bessel_i_fault(monkeypatch):
+    # I_nu off by 1e-6 relative: f_N^(1/2) moves by about N * 1e-6, the closed form does not
+    exact = dens.bessel_i_scaled
+    monkeypatch.setattr(dens, "bessel_i_scaled", lambda nu, z: exact(nu, z) * (1.0 + 1e-6))
+    rep = ex.run_suite("km", 0)[0]
+    assert not rep.verdicts["fn_nu_half_reflection"]
+
+
 def test_fn_nu_asymptotics():
     # ratio against the small-x display tends to 1
     nu, n = 0.5, 2
@@ -443,9 +467,9 @@ def test_nn_tilde_pinned_four_particles():
     assert abs(v - 1.2327973986e-4) <= 1e-10 * v
     # independent route: 4-D ordered tensor quadrature of the Karlin-McGregor density
     pts, w = km._ordered_tensor_grid(24, 0.0, xv[-1] + 7.0, 4)
-    total = 0.0
+    total, log_p = 0.0, partial(dens.log_bessel_density, 0.5, 1.0)
     for lo in range(0, len(pts), 1 << 14):
-        sign, logf = km._fn_nu_log(0.5, 1.0, pts[lo:lo + (1 << 14)], xv)
+        sign, logf = km._km_log(log_p, pts[lo:lo + (1 << 14)], xv)
         total += float(np.dot(w[lo:lo + (1 << 14)], sign * np.exp(logf)))
     assert abs(total - v) <= 2e-8 * v
 
