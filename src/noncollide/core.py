@@ -62,11 +62,15 @@ class OrderedConfiguration:
         return np.asarray(self.values, dtype=float)
 
 
+_C, _D = Chamber.C, Chamber.D  # bound once: a member lookup costs more than a check
+
+
 def validate_chamber(x: Sequence[float], chamber: Chamber | str) -> OrderedConfiguration:
     """Tag ``x`` with ``chamber`` iff the strict chamber inequalities hold.
 
-    Ties are rejected: the chambers are open sets.  Values are returned
-    unmodified (validation is order-checking only).
+    Ties are rejected: the chambers are open sets.  Values are returned unmodified in
+    ``values``, a tuple of Python floats that scalar routines read as it is (batched callers
+    take ``as_array()``).  NaN or Inf raises NonFinite before any ChamberViolation.
     """
     if isinstance(chamber, str):
         chamber = Chamber(chamber.upper())
@@ -75,18 +79,18 @@ def validate_chamber(x: Sequence[float], chamber: Chamber | str) -> OrderedConfi
         raise DomainError("configuration must be nonempty")
     if not all(map(math.isfinite, vals)):
         raise NonFinite("configuration contains NaN or Inf")
-
-    if chamber is Chamber.C and not vals[0] > 0.0:
+    prev = vals[0]
+    if chamber is _C and not prev > 0.0:
         raise ChamberViolation(0, "chamber C requires 0 < x1")
-    start = 1
-    if chamber is Chamber.D and len(vals) >= 2:
-        if not abs(vals[0]) < vals[1]:
-            raise ChamberViolation(1, "chamber D requires |x1| < x2")
-        start = 2
-    for i in range(start, len(vals)):
-        if not vals[i - 1] < vals[i]:
+    if chamber is _D and len(vals) >= 2 and not abs(prev) < vals[1]:
+        raise ChamberViolation(1, "chamber D requires |x1| < x2")
+    i = 0  # |x1| < x2 implies x1 < x2, so chamber D needs no other start
+    for v in vals[1:]:
+        i += 1
+        if not prev < v:
             raise ChamberViolation(i)
-    return OrderedConfiguration(values=vals, chamber=chamber)
+        prev = v
+    return OrderedConfiguration(vals, chamber)
 
 
 def _usable_cpus() -> int:

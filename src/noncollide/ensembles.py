@@ -67,6 +67,7 @@ TAGS = GAUSSIAN_TAGS + (
 )
 _DOUBLED_TAGS = ("gse", "class_c", "class_d")
 _STATIC_TAGS = ("beta_tridiagonal", "ginibre")
+_A = Chamber.A  # bound once: a member lookup costs more than the check
 
 _SIGMA = (
     np.eye(2, dtype=complex),
@@ -386,13 +387,14 @@ def eigen_density_exact(kind: EnsembleKind, x: OrderedConfiguration, t: float) -
     beta = _BETA.get(kind.tag)
     if beta is None:
         raise DomainError("exact densities cover gue/goe/gse only")
-    if x.chamber is not Chamber.A:
+    if x.chamber is not _A:
         raise DomainError("chamber A required")
     if not t > 0.0:
         raise NonPositiveTime("t must be positive")
-    if x.n != kind.n:
-        raise SizeMismatch(f"{x.n} points for an N = {kind.n} ensemble")
-    return math.exp(_log_gaussian_ensemble(beta, t, x.values))
+    y = x.values
+    if len(y) != kind.n:
+        raise SizeMismatch(f"{len(y)} points for an N = {kind.n} ensemble")
+    return math.exp(_log_gaussian_ensemble(beta, t, y))
 
 
 def haar_unitary(n: int, stream: RngStream) -> np.ndarray:
@@ -463,7 +465,7 @@ def harish_chandra_check(
     var = max(total_sq / n_mc - mean * mean, 0.0)
     stderr = math.sqrt(var / n_mc)
 
-    log_h = log_vandermonde(xv) + log_vandermonde(yv)
+    log_h = log_vandermonde(x.values) + log_vandermonde(y.values)
     sign, logdet = _km_log(partial(log_bm_density, sigma * sigma), yv[None, :], xv)
     log_rhs = constants(n).log_c1 + n * n * math.log(abs(sigma)) - log_h + float(logdet[0])
     rhs = float(sign[0] * math.exp(log_rhs))

@@ -94,15 +94,18 @@ def bessel_g(nu: float) -> tuple[Callable, Callable]:
 # ---------------------------------------------------------------------------
 
 def _logdet_stable(log_a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(sign, log|det|) of exp(log_a) with per-row exponent extraction.
+    """(sign, log|det|) of exp(log_a) with per-row exponent extraction, and per-column
+    where a column's largest entry would then be below 1e-154 (or subnormal, or zero).
 
     log_a has shape (..., N, N); rows that are entirely -inf give det 0.
     """
     r = np.max(log_a, axis=-1, keepdims=True)
     r_safe = np.where(np.isfinite(r), r, 0.0)
-    m = np.exp(log_a - r_safe)
-    sign, logdet = np.linalg.slogdet(m)
-    return sign, logdet + np.sum(np.squeeze(r_safe, axis=-1), axis=-1)
+    log_m = log_a - r_safe
+    c = np.max(log_m, axis=-2, keepdims=True)
+    c = np.where((c < 0.5 * _LOG_MIN_NORMAL) & (c > -np.inf), c, 0.0)
+    sign, logdet = np.linalg.slogdet(np.exp(log_m - c))
+    return sign, logdet + np.sum(r_safe[..., 0], axis=-1) + np.sum(c[..., 0, :], axis=-1)
 
 
 def _check_pair(x: OrderedConfiguration, y: OrderedConfiguration):
@@ -233,8 +236,9 @@ def vandermonde_alpha(x, alpha: float) -> float:
 
 
 def log_vandermonde(x) -> float:
-    """log prod (x_j - x_i) for a strictly increasing x."""
-    v = _floats(x)
+    """log prod (x_j - x_i) for a strictly increasing x.  A tuple, such as a configuration's
+    ``values``, is read as it is; arrays and other sequences go through :func:`_floats`."""
+    v = x if type(x) is tuple else _floats(x)
     out = 0.0
     for i, a in enumerate(v):
         for b in v[i + 1:]:
@@ -248,7 +252,7 @@ def log_vandermonde(x) -> float:
 def log_vandermonde_alpha(x, alpha: float) -> float:
     """log of vandermonde_alpha for strictly increasing positive x (-inf otherwise): the
     logs of the factors (x_j - x_i)(x_j + x_i) and x_k^alpha added by ``math.fsum``."""
-    v = _floats(x)
+    v = x if type(x) is tuple else _floats(x)
     if (v and v[0] <= 0.0) or any(b <= a for a, b in zip(v, v[1:])):
         return -math.inf
     pairs = [math.log((b - a) * (b + a)) for i, a in enumerate(v) for b in v[i + 1:]]
@@ -518,7 +522,7 @@ def p_n(t: float, y: OrderedConfiguration, x: OrderedConfiguration) -> float:
     if not t > 0.0:
         raise NonPositiveTime("t must be positive")
     _check_pair(x, y)
-    return _doob(*f_n_log(t, y, x), log_vandermonde(y.as_array()), log_vandermonde(x.as_array()))
+    return _doob(*f_n_log(t, y, x), log_vandermonde(y.values), log_vandermonde(x.values))
 
 
 def p_n_origin(t: float, y: OrderedConfiguration) -> float:
@@ -707,8 +711,8 @@ def g_nt_nu_kappa_origin(params, t: float, y: OrderedConfiguration) -> float:
 def p_n_nu(nu: float, t: float, y: OrderedConfiguration, x: OrderedConfiguration) -> float:
     """Transition density of the noncolliding Bessel process: f_N^(nu)(t, y|x)
     Doob-transformed by Delta(y^2) (:func:`_doob`)."""
-    return _doob(*f_n_nu_log(nu, t, y, x), log_vandermonde_alpha(y.as_array(), 0.0),
-                 log_vandermonde_alpha(x.as_array(), 0.0))
+    return _doob(*f_n_nu_log(nu, t, y, x), log_vandermonde_alpha(y.values, 0.0),
+                 log_vandermonde_alpha(x.values, 0.0))
 
 
 def p_n_nu_origin(nu: float, t: float, y: OrderedConfiguration) -> float:

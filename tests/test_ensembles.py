@@ -157,6 +157,19 @@ def test_eigen_density_exact_close_pairs(y, t):
             assert abs(v / exact - 1) <= 1e-13, tag
 
 
+@pytest.mark.parametrize("y,t", [((2.9, 2.9001), 0.5), ((-3.1, -3.09999, 1.2), 0.3)])
+def test_scalar_densities_do_not_depend_on_input_form(y, t):
+    # scalar routines read the validated float tuple, however the configuration came in
+    x = tuple(v + 0.7 * i - 0.4 for i, v in enumerate(y))
+    results = set()
+    for form in (list, tuple, np.array, lambda v: [np.float64(a) for a in v]):
+        yc, xc = validate_chamber(form(y), "A"), validate_chamber(form(x), "A")
+        results.add((ens.eigen_density_exact(ens.EnsembleKind("gue", len(y)), yc, t),
+                     ens.eigen_density_exact(ens.EnsembleKind("goe", len(y)), yc, t),
+                     km.p_n(t, yc, xc), km.p_n_origin(t, yc), km.g_nt_origin(t, yc, 2 * t)))
+    assert len(results) == 1, results
+
+
 def test_gue_unitary_invariance():
     s = RngStream(11, 7)
     n = 3

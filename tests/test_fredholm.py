@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from noncollide import experiments as ex
 from noncollide import fredholm as F
 from noncollide import kernels as K
 from noncollide.core import RngStream
@@ -388,3 +389,12 @@ def test_painleve_partial_cell_matches_16_node_rule():
         i0, i1 = tab.moments[:, idx]
         want = math.exp(-(i1 - alpha * i0 + float(np.dot(wts, (nodes - alpha) * q * q))))
         assert abs(F.tracy_widom_painleve(alpha) - want) <= 2 * np.spacing(want)
+
+
+def test_tw_dual_route_gate_sees_coarse_nystrom(monkeypatch):
+    # 18 Nystrom nodes instead of 48 are off by ~1e-9: the old 1e-6 bound passed them
+    exact = F.tracy_widom_fredholm
+    monkeypatch.setattr(F, "tracy_widom_fredholm", lambda alpha, m=18: exact(alpha, m))
+    rep = ex.run_suite("fredholm", 0)[0]
+    value = {s["name"]: s["value"] for s in rep.statistics}["tw_dual_route"]
+    assert value <= 1e-6 and not rep.verdicts["tw_dual_route"]

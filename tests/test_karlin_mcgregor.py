@@ -85,6 +85,35 @@ def test_km_underflow_reported():
     assert exc.value.sign == 1.0
 
 
+def _det2_log_mp(p, x, y):
+    """log det[p(y_j, x_i)] of a 2 x 2 determinant in 50-digit arithmetic."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        m = [[p(mp, mp.mpf(yj), mp.mpf(xi)) for yj in y] for xi in x]
+        return float(mp.log(m[0][0] * m[1][1] - m[0][1] * m[1][0]))
+
+
+def test_km_column_far_below_its_rows_vs_mpmath():
+    # y_2 = 40 lies ~800 below every row maximum: row extraction alone left that column
+    # zero, and f_n_log returned (0, -inf)
+    x, y = A(0.0, 0.1), A(0.0, 40.0)
+    exact = _det2_log_mp(lambda mp, b, a: mp.npdf(b, a), x.values, y.values)
+    sign, logv = km.f_n_log(1.0, y, x)
+    assert sign == 1.0 and abs(logv - exact) <= 1e-13 * abs(exact), (logv, exact)
+    with pytest.raises(NumericalUnderflow):
+        km.f_n(1.0, y, x)
+    # Bessel targets at the wall: the column of y_1 lies ~1000 (nu = 40) or ~770 (nu = 10)
+    # below its rows
+    for nu, y in ((40.0, C(1e-4, 1.0)), (10.0, C(1e-15, 1.0))):
+        x = C(0.5, 1.5)
+        exact = _det2_log_mp(lambda mp, b, a: ((b / a) ** nu * b * mp.exp(-(a * a + b * b) / 2)
+                                               * mp.besseli(nu, a * b)), x.values, y.values)
+        sign, logv = km.f_n_nu_log(nu, 1.0, y, x)
+        assert sign == 1.0 and abs(logv - exact) <= 1e-13 * abs(exact), (nu, logv, exact)
+        with pytest.raises(NumericalUnderflow):
+            km.f_n_nu(nu, 1.0, y, x)
+
+
 def test_survival_time_zero_and_single():
     assert km.survival_n(0.0, A(0.0, 1.0)).value == 1.0
     assert km.survival_n(3.0, A(0.7)).value == 1.0
@@ -222,6 +251,14 @@ def test_vandermonde_accepts_lists_arrays_and_ints():
         assert km.log_vandermonde(form) == pytest.approx(
             math.log(km.vandermonde(form)), rel=1e-14)
     assert km.vandermonde(np.array([0, 1, 3])) == 6.0
+    # tuples are read as they are, and every input form still gives a Python float
+    for form in ((0, 1, 3), [0, 1, 3], np.array([0, 1, 3]), (np.int64(0), 1, np.float64(3))):
+        for f, want in ((km.vandermonde, 6.0), (km.log_vandermonde, math.log(6.0)),
+                        (partial(km.vandermonde_alpha, alpha=1.0), 0.0),
+                        (partial(km.log_vandermonde_alpha, alpha=1.0), -math.inf)):
+            assert type(f(form)) is float and f(form) == want, (f, form)
+    assert km.log_vandermonde_alpha((1, 2, 4), 2.0) == pytest.approx(
+        math.log(3 * 15 * 12 * 64), rel=1e-15)
     assert km.log_vandermonde([1.0, 0.5]) == -math.inf
     pos = [0.2, 0.5, 1.5]
     assert km.log_vandermonde_alpha(np.array(pos), 1.5) == pytest.approx(
@@ -390,6 +427,15 @@ def test_half_reflection_gate_sees_bessel_i_fault(monkeypatch):
     monkeypatch.setattr(dens, "bessel_i_scaled", lambda nu, z: exact(nu, z) * (1.0 + 1e-6))
     rep = ex.run_suite("km", 0)[0]
     assert not rep.verdicts["fn_nu_half_reflection"]
+
+
+def test_p2_origin_norm_gate_sees_density_fault(monkeypatch):
+    # the GUE density off by 1e-9 relative: the old 1e-6 bound passed it
+    exact = km.p_n_origin
+    monkeypatch.setattr(km, "p_n_origin", lambda t, y: exact(t, y) * (1.0 + 1e-9))
+    rep = ex.run_suite("km", 0)[0]
+    value = {s["name"]: s["value"] for s in rep.statistics}["p2_origin_norm"]
+    assert abs(value) <= 1e-6 and not rep.verdicts["p2_origin_norm"]
 
 
 def test_fn_nu_asymptotics():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from noncollide import ensembles as ens
+from noncollide import experiments as ex
 from noncollide import kernels as K
 from noncollide._quad import gl_nodes
 from noncollide.core import RngStream
@@ -735,3 +736,24 @@ def test_laguerre_kernel_wall_values():
     assert K.kernel_laguerre(2, -0.4, 1.0, 1.0, 1.0, 0.0) == 0.0
     with pytest.raises(DomainError):
         K.kernel_laguerre(2, -0.5, 1.0, 0.0, 1.0, 1.0)
+
+
+def _kernels_gate(name):
+    rep = ex.run_suite("kernels", 0)[0]
+    return {s["name"]: s["value"] for s in rep.statistics}[name], rep.verdicts[name]
+
+
+def test_hard_edge_dual_gate_sees_coarse_head_rule(monkeypatch):
+    # the head's rule cut from 96 to 12 nodes is off by ~4e-11: the old 1e-6 bound passed it
+    exact = K.gl_nodes
+    monkeypatch.setattr(K, "gl_nodes", lambda m, a, b: exact(12, a, b))
+    value, passed = _kernels_gate("hard_edge_dual")
+    assert value <= 1e-6 and not passed
+
+
+def test_hard_edge_sine_reflection_gate_sees_bessel_j_fault(monkeypatch):
+    # J_nu off by 1e-9 relative moves the closed form by ~1e-9: the old 1e-6 bound passed it
+    exact = K.bessel_j
+    monkeypatch.setattr(K, "bessel_j", lambda nu, x: exact(nu, x) * (1.0 + 1e-9))
+    value, passed = _kernels_gate("hard_edge_sine_reflection")
+    assert value <= 1e-6 and not passed
