@@ -720,7 +720,7 @@ def _suite_fredholm(seed: int) -> ExperimentReport:
     for a in (-5.0, -3.0, -1.0, 0.0, 1.0, 2.0):
         diff = abs(fred.tracy_widom_fredholm(a) - fred.tracy_widom_painleve(a))
         worst = max(worst, diff)
-    rep.add("tw_dual_route", worst, worst <= 3e-12)  # tracy_widom_painleve's contract
+    rep.add("tw_dual_route", worst, worst <= 2e-14)  # tracy_widom_painleve's contract
     v = fred.rightmost_cdf(1, 1.0, 0.5)
     phi = 0.5 * (1.0 + math.erf(0.5 / math.sqrt(2.0)))
     rep.add("rightmost_n1_gaussian", v - phi, abs(v - phi) <= 1e-8)

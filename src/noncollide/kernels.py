@@ -21,6 +21,7 @@ equal-time Grams and multi-time correlation functions all use it.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from functools import partial
@@ -197,24 +198,39 @@ def _airy_decaying(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _AIRY_LO, _AIRY_HI, _AIRY_STEP, _AIRY_DEG = -12.0, 10.0, 0.25, 22  # the Taylor table
 
 
+def _taylor_continuation(centres, y: float, yp: float, deg: int, step: float,
+                         cubic: bool = False) -> np.ndarray:
+    """Taylor coefficients a_0..a_deg of y'' = x y (+ 2 y^3 if cubic) about each
+    of the decreasing centres c, step apart, by rows: a_{k+2} = (2 (y^3)_k + c a_k
+    + a_{k-1}) / ((k+1)(k+2)), the y^2 and y^3 coefficients convolved as they
+    come.  Row 0 starts from (y, y'); each row's value and slope at d = -step,
+    Horner sums in Python floats, start the next."""
+    tab = np.empty((len(centres), deg + 1))
+    for j, c in enumerate(centres):
+        a, sq = [y, yp], []
+        for k in range(deg - 1):
+            rhs = c * a[k] + a[k - 1] if k else c * a[0]
+            if cubic:
+                sq.append(sum(map(operator.mul, a[: k + 1], a[k::-1])))
+                rhs = 2.0 * sum(map(operator.mul, sq, a[k::-1])) + rhs
+            a.append(rhs / ((k + 1.0) * (k + 2.0)))
+        tab[j] = a
+        y = yp = 0.0
+        for k in range(deg, 0, -1):
+            y, yp = y * -step + a[k], yp * -step + k * a[k]
+        y = y * -step + a[0]
+    return tab
+
+
 def _airy_taylor_table() -> np.ndarray:
     """Coefficients a_0.._AIRY_DEG of Ai about c_j = _AIRY_LO + j _AIRY_STEP, by
-    rows.  Ai'' = x Ai gives a_2 = c a_0 / 2 and a_{k+2} = (c a_k + a_{k-1}) /
-    ((k+1)(k+2)).  The last row starts from :func:`_airy_decaying`; each row at
-    d = -_AIRY_STEP starts the one before.  Leftward Ai grows and Bi decays, so
-    the stepping is stable (Gil, Segura & Temme, Numerical Methods for Special
-    Functions, SIAM 2007, ch. 9)."""
-    tab = np.empty((round((_AIRY_HI - _AIRY_LO) / _AIRY_STEP) + 1, _AIRY_DEG + 1))
+    rows, continued leftward from :func:`_airy_decaying` at _AIRY_HI: Ai grows
+    and Bi decays, so the stepping is stable (Gil, Segura & Temme, Numerical
+    Methods for Special Functions, SIAM 2007, ch. 9)."""
     ai, aip = (float(v[0]) for v in _airy_decaying(np.array([_AIRY_HI])))
-    for j in range(len(tab) - 1, -1, -1):
-        c = _AIRY_LO + _AIRY_STEP * j
-        a = [ai, aip, c * ai / 2.0]
-        for k in range(1, _AIRY_DEG - 1):
-            a.append((c * a[k] + a[k - 1]) / ((k + 1.0) * (k + 2.0)))
-        tab[j] = a
-        ai = np.polyval(tab[j, ::-1], -_AIRY_STEP)
-        aip = np.polyval((tab[j, 1:] * np.arange(1.0, _AIRY_DEG + 1))[::-1], -_AIRY_STEP)
-    return tab
+    last = round((_AIRY_HI - _AIRY_LO) / _AIRY_STEP)
+    centres = [_AIRY_LO + _AIRY_STEP * j for j in range(last, -1, -1)]
+    return _taylor_continuation(centres, ai, aip, _AIRY_DEG, _AIRY_STEP)[::-1].copy()
 
 
 _AIRY_TAB = _airy_taylor_table()

@@ -120,3 +120,33 @@ def hermite_phi_decimal(n: int, x: float, digits: int = 40) -> float:
         c2 = (Decimal(k) / Decimal(k + 1)).sqrt()
         p_prev, p_cur = p_cur, c1 * xd * p_cur - c2 * p_prev
     return float(p_cur * (-xd * xd / 2).exp())
+
+
+def painleve2_rk4(grid, q: float, qp: float, h_max: float = 1e-3):
+    """(q, q') of q'' = 2 q^3 + x q on a decreasing grid from (q, q') at grid[0],
+    by classical RK4 in steps of at most h_max, each taken as two half-steps:
+    a fixed-step march, independent of the library's Taylor continuation."""
+
+    def rhs(x, q, qp):
+        return qp, 2.0 * q**3 + x * q
+
+    def rk4_step(x, q, qp, h):
+        k1q, k1p = rhs(x, q, qp)
+        k2q, k2p = rhs(x + h / 2, q + h / 2 * k1q, qp + h / 2 * k1p)
+        k3q, k3p = rhs(x + h / 2, q + h / 2 * k2q, qp + h / 2 * k2p)
+        k4q, k4p = rhs(x + h, q + h * k3q, qp + h * k3p)
+        return (q + h / 6 * (k1q + 2 * k2q + 2 * k3q + k4q),
+                qp + h / 6 * (k1p + 2 * k2p + 2 * k3p + k4p))
+
+    x = float(grid[0])
+    qs, qps = np.empty(len(grid)), np.empty(len(grid))
+    qs[0], qps[0] = q, qp
+    for i in range(1, len(grid)):
+        target = float(grid[i])
+        while x > target + 1e-13:
+            h = min(h_max, x - target)
+            q, qp = rk4_step(x, q, qp, -h / 2)
+            q, qp = rk4_step(x - h / 2, q, qp, -h / 2)
+            x -= h
+        qs[i], qps[i] = q, qp
+    return qs, qps

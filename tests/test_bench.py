@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -23,3 +24,16 @@ def test_benchmark_workloads_check_their_outputs():
         last = json.loads(line)
         assert last["correct"] is True and last["failed"] == 0, (name, last)
         assert last["attempted"] > 0, name
+
+
+def test_setup_probe_builds_the_painleve_table(monkeypatch):
+    # setup_s counts the Painleve table only while the probe's set-up builds it
+    from noncollide import fredholm
+
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as it is
+    spec = importlib.util.spec_from_file_location("setup_probe", ROOT / "bench" / "setup_probe.py")
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+    monkeypatch.setattr(fredholm, "_TABLE", None)
+    probe.setup(fredholm)
+    assert isinstance(fredholm._TABLE, fredholm._PainleveTable)

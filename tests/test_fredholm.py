@@ -10,6 +10,7 @@ from noncollide import kernels as K
 from noncollide.core import RngStream
 from noncollide.errors import DomainError
 from noncollide import ensembles as ens
+from oracles import painleve2_rk4
 
 # frozen from the m = 160 Nystrom oracle run before the main build
 TW_AT_ZERO = 0.969372828355
@@ -191,17 +192,27 @@ def test_painleve_boundary_condition():
 
 
 def test_painleve_independent_integrators_agree():
-    # h and h/4 fixed-step RK4 from the same boundary data
-    def integrate_fixed(h):
-        x, q, qp = 8.0, K.airy_ai(8.0), K.airy_ai_prime(8.0)
-        while x > -2.0 + 1e-12:
-            q, qp = F._rk4_step(x, q, qp, -h)
-            x -= h
-        return q
+    # the Taylor continuation against fixed-step RK4 in steps of 2.5e-4
+    grid = np.arange(8.0, -2.0 - 1e-9, -0.5)
+    rk4, _ = painleve2_rk4(grid, K.airy_ai(8.0), K.airy_ai_prime(8.0), h_max=5e-4)
+    assert np.max(np.abs(F.painleve2_hastings_mcleod(grid) - rk4)) <= 1e-8
 
-    a = integrate_fixed(1e-3)
-    b = integrate_fixed(2.5e-4)
-    assert abs(a - b) <= 1e-8
+
+def test_painleve_starts_on_airy():
+    # near x0 = 8 the cubic term moves q off Ai by O(Ai^2): 1.1e-15 relative at 7.5
+    grid = np.linspace(8.0, 7.5, 201)
+    q = F.painleve2_hastings_mcleod(grid)
+    assert np.max(np.abs(q / K.airy_ai(grid) - 1.0)) <= 1e-14
+
+
+def test_painleve_taylor_patches_converged():
+    # half the patch width and degree 32 instead of 24: q moves by 2.7e-15
+    # relative, q' by 1.4e-14 of its largest value
+    grid = 8.0 - 1e-3 * np.arange(10001)
+    q, qp = F._march(grid)
+    fine, fine_p = F._march(grid, step=F._PII_STEP / 2, deg=32)
+    assert np.max(np.abs(q / fine - 1.0)) <= 1e-14
+    assert np.max(np.abs(qp - fine_p)) <= 3e-14 * np.abs(fine_p).max()
 
 
 def test_painleve_positivity():
@@ -398,3 +409,14 @@ def test_tw_dual_route_gate_sees_coarse_nystrom(monkeypatch):
     rep = ex.run_suite("fredholm", 0)[0]
     value = {s["name"]: s["value"] for s in rep.statistics}["tw_dual_route"]
     assert value <= 1e-6 and not rep.verdicts["tw_dual_route"]
+
+
+def test_tw_dual_route_gate_sees_rk4_table(monkeypatch):
+    # the Painleve table from fixed-step RK4 (steps of 5e-4) is off by ~2.6e-12:
+    # the earlier 3e-12 bound passed it
+    monkeypatch.setattr(F, "_march", lambda grid: painleve2_rk4(
+        grid, K.airy_ai(float(grid[0])), K.airy_ai_prime(float(grid[0]))))
+    monkeypatch.setattr(F, "_TABLE", None)
+    rep = ex.run_suite("fredholm", 0)[0]
+    value = {s["name"]: s["value"] for s in rep.statistics}["tw_dual_route"]
+    assert 1e-12 <= value <= 3e-12 and not rep.verdicts["tw_dual_route"]
