@@ -68,13 +68,7 @@ TAGS = GAUSSIAN_TAGS + (
 _DOUBLED_TAGS = ("gse", "class_c", "class_d")
 _STATIC_TAGS = ("beta_tridiagonal", "ginibre")
 _A = Chamber.A  # bound once: a member lookup costs more than the check
-
-_SIGMA = (
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
+_SLICE_ENTRIES = 32768  # Haar matrices per QR slice: this many entries over n^2
 
 
 @dataclass(frozen=True)
@@ -137,7 +131,7 @@ class _OnGrid:
     def bm(self, shape: tuple, var: float) -> np.ndarray:
         z = self.stream.normal((self.count, len(self.times)) + shape)
         steps = np.sqrt(self.dts * var).reshape((1, -1) + (1,) * len(shape))
-        return np.cumsum(z * steps, axis=1).reshape((-1,) + shape)
+        return np.cumsum(z * steps, axis=1).reshape((self.count * len(self.times),) + shape)
 
     def bridge(self, shape: tuple, var: float) -> np.ndarray:
         T = self.horizon
@@ -154,7 +148,7 @@ class _OnGrid:
                 prev = prev * shrink + math.sqrt(var_k * var) * z
             out[:, k] = prev
             t_prev = tk
-        return out.reshape((-1,) + shape)
+        return out.reshape((self.count * len(self.times),) + shape)
 
 
 def _sym(n: int, diag: np.ndarray, off: np.ndarray) -> np.ndarray:
@@ -176,9 +170,26 @@ def _antisym(n: int, off: np.ndarray) -> np.ndarray:
     return out
 
 
-def _kron_batch(a: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    c, n, _ = a.shape
-    return np.einsum("cij,ab->ciajb", a.astype(complex), sigma).reshape(c, 2 * n, 2 * n)
+def _quaternion(parts: list, imag: tuple) -> np.ndarray:
+    """sum_rho P_rho (x) sigma_rho from real (c, N, N) parts R_rho, where P_rho
+    is i R_rho if imag[rho] and R_rho otherwise: the 2x2 blocks
+    [[P0 + P3, P1 - iP2], [P1 + iP2, P0 - P3]] written into one (c, 2N, 2N)
+    array.  Working memory: that array plus the four parts.  Each real and
+    imaginary part is a sum with an explicit 0.0 (never a negation), which
+    fixes the signed zeros LAPACK's spectra depend on."""
+    c, n, _ = parts[0].shape
+    re = [0.0 if i else p for p, i in zip(parts, imag)]
+    im = [p if i else 0.0 for p, i in zip(parts, imag)]
+    out = np.empty((c, 2 * n, 2 * n), dtype=complex)
+    blocks = out.reshape(c, n, 2, n, 2)
+    add, sub = np.add, np.subtract
+    for a, b, f, x, y, g, u, v in ((0, 0, add, re[0], re[3], add, im[0], im[3]),
+                                   (1, 1, sub, re[0], re[3], sub, im[0], im[3]),
+                                   (0, 1, add, re[1], im[2], sub, im[1], re[2]),
+                                   (1, 0, sub, re[1], im[2], add, im[1], re[2])):
+        f(x, y, out=blocks[:, :, a, :, b].real)
+        g(u, v, out=blocks[:, :, a, :, b].imag)
+    return out
 
 
 def _construct(kind: EnsembleKind, src) -> np.ndarray:
@@ -205,21 +216,11 @@ def _construct(kind: EnsembleKind, src) -> np.ndarray:
         s = sym()
         return s + 1j * antisym(src.bridge if tag == "gue_to_goe" else src.bm)
     if tag == "gse":
-        out = _kron_batch(sym(), _SIGMA[0])
-        for rho in (1, 2, 3):
-            out += 1j * _kron_batch(antisym(), _SIGMA[rho])
-        return out
+        return _quaternion([sym(), antisym(), antisym(), antisym()], (False, True, True, True))
     if tag == "class_c":
-        out = 1j * _kron_batch(antisym(), _SIGMA[0])
-        for rho in (1, 2, 3):
-            out += _kron_batch(sym(), _SIGMA[rho])
-        return out
+        return _quaternion([antisym(), sym(), sym(), sym()], (True, False, False, False))
     if tag == "class_d":
-        out = 1j * _kron_batch(antisym(), _SIGMA[0])
-        for rho in (1, 2):
-            out += 1j * _kron_batch(antisym(), _SIGMA[rho])
-        out += _kron_batch(sym(), _SIGMA[3])
-        return out
+        return _quaternion([antisym(), antisym(), antisym(), sym()], (True, True, True, False))
     if tag in ("laguerre", "wishart"):
         shape = (n + kind.nu, n)
         re = src.bm(shape, 1.0)
@@ -304,7 +305,8 @@ def distinct_spectrum(m: MatrixSample) -> np.ndarray:
 def sample_spectra(
     kind: EnsembleKind, t: float, count: int, stream: RngStream, distinct: bool = False
 ) -> np.ndarray:
-    """(count, dim) ascending spectra, batched for Monte Carlo suites."""
+    """(count, dim) ascending spectra, batched for Monte Carlo suites;
+    (count, N) with ``distinct``, reduced as :func:`distinct_spectrum`."""
     t_eff = 1.0 if kind.tag in _STATIC_TAGS else t
     out = []
     chunk = max(1, int(4e6 / (kind.dim * kind.dim)))
@@ -403,7 +405,12 @@ def haar_unitary(n: int, stream: RngStream) -> np.ndarray:
 
 
 def _haar_batch(n: int, count: int, stream: RngStream) -> np.ndarray:
-    z = stream.complex_normal((count, n, n), scale=math.sqrt(0.5))
+    return _haar_qr(stream.complex_normal((count, n, n), scale=math.sqrt(0.5)))
+
+
+def _haar_qr(z: np.ndarray) -> np.ndarray:
+    """Haar unitaries from a complex Ginibre batch: Q of z = QR with its
+    columns turned by the phases of diag R (Mezzadri's fix)."""
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=1, axis2=2).copy()
     d /= np.abs(d)
@@ -436,7 +443,10 @@ def harish_chandra_check(
     arithmetic progression, where the two terms agree up to rounding, and
     0.2-7.5 % on six random N = 3 configurations.  The exponent needs only
     W = |U|^2 elementwise: ||X - U^dag Y U||^2 = sum x^2 + sum y^2
-    - 2 sum_ij x_i y_j W_ji, and U^* = conj(U^T) has W transposed.
+    - 2 sum_ij x_i y_j W_ji, and U^* = conj(U^T) has W transposed.  Each
+    chunk of 2e6 / n^2 draws is drawn whole (its real parts, then its
+    imaginary parts) and factored in slices of _SLICE_ENTRIES / n^2
+    matrices, so the working memory is the draws plus one slice.
     """
     if sigma == 0.0:
         raise DomainError("sigma must be nonzero")
@@ -451,13 +461,16 @@ def harish_chandra_check(
     total_sq = 0.0
     done = 0
     chunk = max(1, int(2e6 / (n * n)))
+    step = max(1, _SLICE_ENTRIES // (n * n))
     while done < n_mc:
         c = min(chunk, n_mc - done)
-        u = _haar_batch(n, c, stream)
-        w = u.real ** 2 + u.imag ** 2
-        f_u = np.exp((sq - 2.0 * (yv @ w @ xv)) * scale)
-        f_star = np.exp((sq - 2.0 * (xv @ w @ yv)) * scale)
-        vals = 0.5 * (f_u + f_star)
+        re, im = stream.normal((c, n, n)), stream.normal((c, n, n))  # as complex_normal
+        vals = np.empty(c)
+        for i in range(0, c, step):
+            u = _haar_qr(math.sqrt(0.5) * (re[i:i + step] + 1j * im[i:i + step]))
+            w = u.real ** 2 + u.imag ** 2
+            vals[i:i + step] = 0.5 * (np.exp((sq - 2.0 * (yv @ w @ xv)) * scale)
+                                      + np.exp((sq - 2.0 * (xv @ w @ yv)) * scale))
         total += float(vals.sum())
         total_sq += float((vals**2).sum())
         done += c

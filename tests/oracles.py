@@ -150,3 +150,68 @@ def painleve2_rk4(grid, q: float, qp: float, h_max: float = 1e-3):
             x -= h
         qs[i], qps[i] = q, qp
     return qs, qps
+
+
+PAULI = (
+    np.eye(2, dtype=complex),
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
+
+def kron_batch(a: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """(c, 2N, 2N) Kronecker products a_k (x) sigma of a (c, N, N) batch."""
+    c, n, _ = a.shape
+    return np.einsum("cij,ab->ciajb", a.astype(complex), sigma).reshape(c, 2 * n, 2 * n)
+
+
+def quaternion_kron(tag: str, sym, antisym) -> np.ndarray:
+    """GSE / class C / class D batches as sums of Kronecker products with the
+    Pauli matrices, accumulated term by term.  ``sym()`` and ``antisym()``
+    draw the real symmetric and antisymmetric components, called in the
+    order the ensemble's construction draws them."""
+    if tag == "gse":
+        out = kron_batch(sym(), PAULI[0])
+        for rho in (1, 2, 3):
+            out += 1j * kron_batch(antisym(), PAULI[rho])
+        return out
+    if tag == "class_c":
+        out = 1j * kron_batch(antisym(), PAULI[0])
+        for rho in (1, 2, 3):
+            out += kron_batch(sym(), PAULI[rho])
+        return out
+    if tag == "class_d":
+        out = 1j * kron_batch(antisym(), PAULI[0])
+        for rho in (1, 2):
+            out += 1j * kron_batch(antisym(), PAULI[rho])
+        out += kron_batch(sym(), PAULI[3])
+        return out
+    raise ValueError(f"no quaternion construction for {tag!r}")
+
+
+def harish_chandra_lhs(xv, yv, sigma: float, n_mc: int, stream):
+    """(mean, stderr) of the Haar average of exp(-||X - U^dag Y U||^2 / 2 sigma^2),
+    paired with U^*, over whole chunks of 2e6 / n^2 Haar matrices: each chunk
+    one Ginibre batch from ``stream.complex_normal``, one QR and one phase fix."""
+    n = len(xv)
+    sq = float(xv @ xv + yv @ yv)
+    scale = -1.0 / (2.0 * sigma * sigma)
+    total = total_sq = 0.0
+    done = 0
+    chunk = max(1, int(2e6 / (n * n)))
+    while done < n_mc:
+        c = min(chunk, n_mc - done)
+        z = stream.complex_normal((c, n, n), scale=math.sqrt(0.5))
+        q, r = np.linalg.qr(z)
+        d = np.diagonal(r, axis1=1, axis2=2).copy()
+        d /= np.abs(d)
+        u = q * d[:, None, :]
+        w = u.real ** 2 + u.imag ** 2
+        vals = 0.5 * (np.exp((sq - 2.0 * (yv @ w @ xv)) * scale)
+                      + np.exp((sq - 2.0 * (xv @ w @ yv)) * scale))
+        total += float(vals.sum())
+        total_sq += float((vals**2).sum())
+        done += c
+    mean = total / n_mc
+    return mean, math.sqrt(max(total_sq / n_mc - mean * mean, 0.0) / n_mc)

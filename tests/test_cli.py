@@ -33,6 +33,14 @@ def test_sample_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_sample_one_particle(tmp_path):
+    out = tmp_path / "s.csv"
+    rc = run_cli(["sample", "--kind", "gue", "--n", "1", "--count", "5",
+                  "--seed", "7", "--out", str(out)])
+    assert rc == 0
+    assert len(out.read_text().strip().split("\n")) == 6
+
+
 def test_sample_classd_symmetric_quadruples(tmp_path):
     out = tmp_path / "d.csv"
     rc = run_cli(["sample", "--kind", "classd", "--n", "2", "--count", "5",

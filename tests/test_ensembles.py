@@ -14,10 +14,11 @@ from noncollide.errors import (
     ParamMissing,
     SizeMismatch,
 )
-from oracles import two_sample_ks
+from oracles import harish_chandra_lhs, quaternion_kron, two_sample_ks
 
 A = lambda *v: validate_chamber(list(v), "A")
 
+DOUBLED = ("gse", "class_c", "class_d")
 SIGMA1 = np.kron(np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]))
 SIGMA2 = np.kron(np.eye(2), np.array([[0.0, -1.0j], [1.0j, 0.0]]))
 
@@ -460,3 +461,79 @@ def test_origin_spectra_bessel_one_particle(nu):
 def test_eigen_density_exact_size_mismatch():
     with pytest.raises(SizeMismatch):
         ens.eigen_density_exact(ens.EnsembleKind("gue", 3), A(-0.5, 0.5), 1.0)
+
+
+def _kron_construct(kind, src):
+    """The doubled kinds as oracle Kronecker sums, fed the draws of ens._construct."""
+    n, n_off = kind.n, kind.n * (kind.n - 1) // 2
+
+    def sym():
+        diag = src.bm((n,), 1.0)
+        return ens._sym(n, diag, src.bm((n_off,), 0.5))
+
+    return quaternion_kron(kind.tag, sym, lambda: ens._antisym(n, src.bm((n_off,), 0.5)))
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+@pytest.mark.parametrize("tag", DOUBLED)
+def test_quaternion_blocks_match_kron_oracle(tag, n, monkeypatch):
+    # bit for bit, signed zeros included: LAPACK's spectra move with them
+    kind = ens.EnsembleKind(tag, n)
+    grid = TimeGrid.of([0.3, 1.0, 1.7])
+
+    def draws():
+        return (ens._build_batch(kind, 0.7, 40, RngStream(13, n)),
+                ens.sample_spectra(kind, 0.7, 300, RngStream(13, 10 + n), distinct=True),
+                ens._path_batch(kind, grid, 15, RngStream(13, 20 + n)))
+
+    blocks = draws()
+    monkeypatch.setattr(ens, "_construct", _kron_construct)
+    for new, old in zip(blocks, draws()):
+        assert _same_bits(new, old)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_harish_chandra_slices_match_whole_chunk_oracle(n):
+    step = max(1, ens._SLICE_ENTRIES // (n * n))
+    xv = np.array([-0.7, 0.1, 0.25, 1.3])[:n]
+    yv = np.array([0.2, 1.4, 1.5, 2.6])[:n]
+    for n_mc in (1, step - 1, step, step + 1, 40_000):
+        r = ens.harish_chandra_check(A(*xv), A(*yv), 0.8, n_mc, RngStream(11, 30 + n))
+        assert (r.lhs_mc, r.lhs_stderr) == harish_chandra_lhs(
+            xv, yv, 0.8, n_mc, RngStream(11, 30 + n)), n_mc
+
+
+@pytest.mark.parametrize("tag", DOUBLED)
+def test_quaternion_batch_peak_memory(tag, traced_peak):
+    # one (2000, 16, 16) complex batch is 8.2 MB; Kronecker sums held 2.4-3.0 of them
+    batch = 2000 * 16 * 16 * 16
+    peak = traced_peak(ens.sample_spectra, ens.EnsembleKind(tag, 8), 1.0, 2000,
+                       RngStream(14, 1), distinct=True)
+    assert peak <= 2.0 * batch, peak / batch
+
+
+def test_harish_chandra_peak_memory(traced_peak):
+    # 40 000 Ginibre 3 x 3 draws are 5.76 MB; a whole-chunk QR held 4.4 times that
+    draws = 40_000 * 9 * 16
+    peak = traced_peak(ens.harish_chandra_check, A(-0.7, 0.1, 1.3), A(0.2, 1.4, 2.6), 1.0,
+                       40_000, RngStream(14, 2))
+    assert peak <= 2.2 * draws, peak / draws
+
+
+@pytest.mark.parametrize("kind", [ens.EnsembleKind("goe", 1), ens.EnsembleKind("gue", 1),
+                                  ens.EnsembleKind("gue_to_goe", 1, horizon=1.0)],
+                         ids=["goe", "gue", "gue_to_goe"])
+def test_one_particle_gaussian_ensembles(kind):
+    # at N = 1 the matrix is its own eigenvalue, N(0, t)
+    t, count = 0.5, 20_000
+    lam = ens.sample_spectra(kind, t, count, RngStream(15, 1))[:, 0]
+    z_mean = lam.mean() / math.sqrt(t / count)
+    z_var = (lam.var() - t) / (t * math.sqrt(2.0 / count))
+    assert abs(z_mean) <= 4.0 and abs(z_var) <= 4.0, (z_mean, z_var)
+    assert ens.sample_matrix(kind, t, RngStream(15, 2)).entries.shape == (1, 1)
+    path = ens.sample_path(kind, TimeGrid.of([0.25, 0.5]), RngStream(15, 3))
+    assert [m.entries.shape for m in path.samples] == [(1, 1), (1, 1)]

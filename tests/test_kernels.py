@@ -757,3 +757,16 @@ def test_hard_edge_sine_reflection_gate_sees_bessel_j_fault(monkeypatch):
     monkeypatch.setattr(K, "bessel_j", lambda nu, x: exact(nu, x) * (1.0 + 1e-9))
     value, passed = _kernels_gate("hard_edge_sine_reflection")
     assert value <= 1e-6 and not passed
+
+
+@pytest.mark.parametrize("family, name", [("hermite", "hermite_phi_sequence"),
+                                          ("laguerre", "laguerre_phi_sequence")])
+def test_kernel_identity_gates_see_scaled_functions(family, name, monkeypatch):
+    # phi_k off by 1e-10 relative moves the trace by ~1e-9 and the reproducing
+    # residual by ~1e-10: the old 1e-8 bounds passed both
+    exact = getattr(K, name)
+    monkeypatch.setattr(K, name, lambda *args: exact(*args) * (1.0 + 1e-10))
+    rep = ex.run_suite("kernels", 0)[0]
+    values = {s["name"]: s["value"] for s in rep.statistics}
+    for gate in (f"{family}_trace", f"{family}_reproducing"):
+        assert values[gate] <= 1e-8 and not rep.verdicts[gate], gate
