@@ -103,18 +103,15 @@ def _write(path: str, text: str):
 _KIND_ALIASES = {t.replace("_", ""): t for t in ens.TAGS}
 
 
-def _resolve_kind(text: str) -> str:
-    key = text.lower().replace("-", "").replace("_", "")
-    if key not in _KIND_ALIASES:
-        raise SystemExit(2)
-    return _KIND_ALIASES[key]
+def _resolve_kind(text: str) -> Optional[str]:
+    """The ensemble tag a --kind spelling names, or None for an unknown kind."""
+    return _KIND_ALIASES.get(text.lower().replace("-", "").replace("_", ""))
 
 
 def _cmd_sample(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
-    try:
-        tag = _resolve_kind(args.kind)
-    except SystemExit:
+    tag = _resolve_kind(args.kind)
+    if tag is None:
         print(f"error: unknown ensemble kind {args.kind!r}; options: "
               + ", ".join(t.replace("_", "-") for t in ens.TAGS), file=sys.stderr)
         return 2

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noncollide import densities1d as dens
+from noncollide import experiments as ex
 from noncollide.densities1d import DensityParams
 from noncollide.errors import (
     BesselIndexOutOfRange,
@@ -283,3 +284,16 @@ def test_density_params_validation():
         DensityParams(nu=0.0, kappa=2.5, T=1.0)  # kappa > 2(nu+1)
     with pytest.raises(NonPositiveTime):
         DensityParams(nu=0.0, kappa=0.5, T=0.0)
+
+
+@pytest.mark.parametrize("density", ["bm_density", "bessel_density"])
+def test_chapman_kolmogorov_gates_see_density_fault(density, monkeypatch):
+    # a transition density off by 1e-8 relative moves the Chapman-Kolmogorov
+    # defect by ~3e-9: the old 1e-6 bound passed it
+    exact = getattr(dens, density)
+    monkeypatch.setattr(dens, density, lambda *args: exact(*args) * (1.0 + 1e-8))
+    rep = ex.run_suite("densities", 0)[0]
+    values = {s["name"]: s["value"] for s in rep.statistics}
+    gates = ["ck_bm"] if density == "bm_density" else ["ck_bessel_nu0.5", "ck_bessel_nu0.0"]
+    for gate in gates:
+        assert abs(values[gate]) <= 1e-6 and not rep.verdicts[gate]

@@ -198,6 +198,20 @@ def test_painleve_independent_integrators_agree():
     assert np.max(np.abs(F.painleve2_hastings_mcleod(grid) - rk4)) <= 1e-8
 
 
+@pytest.mark.parametrize("x0", [7.0, 9.0])
+def test_painleve_grid_start_does_not_move_q(x0):
+    # the table starts at 8 whatever the grid's start: RK4 from 8 below it, Ai above
+    grid = np.arange(x0, -2.0 - 1e-9, -0.25)
+    q = F.painleve2_hastings_mcleod(grid)
+    below = grid <= 8.0
+    rk4, _ = painleve2_rk4(np.concatenate(([8.0], grid[below])), K.airy_ai(8.0),
+                           K.airy_ai_prime(8.0), h_max=5e-4)
+    assert np.max(np.abs(q[below] - rk4[1:])) <= 1e-8
+    assert np.array_equal(q[~below], K.airy_ai(grid[~below]))
+    from_8 = F.painleve2_hastings_mcleod(np.arange(8.0, -2.0 - 1e-9, -0.25))
+    assert np.array_equal(q[grid <= 7.0], from_8[4:])
+
+
 def test_painleve_starts_on_airy():
     # near x0 = 8 the cubic term moves q off Ai by O(Ai^2): 1.1e-15 relative at 7.5
     grid = np.linspace(8.0, 7.5, 201)
@@ -207,12 +221,14 @@ def test_painleve_starts_on_airy():
 
 def test_painleve_taylor_patches_converged():
     # half the patch width and degree 32 instead of 24: q moves by 2.7e-15
-    # relative, q' by 1.4e-14 of its largest value
+    # relative on [-2, 8], and so do the moments at the shared patch centres
     grid = 8.0 - 1e-3 * np.arange(10001)
-    q, qp = F._march(grid)
-    fine, fine_p = F._march(grid, step=F._PII_STEP / 2, deg=32)
-    assert np.max(np.abs(q / fine - 1.0)) <= 1e-14
-    assert np.max(np.abs(qp - fine_p)) <= 3e-14 * np.abs(fine_p).max()
+    tab, fine = F._PainleveTable(), F._PainleveTable(step=F._PII_STEP / 2, deg=32)
+    assert np.max(np.abs(tab.q(grid) / fine.q(grid) - 1.0)) <= 1e-14
+    shared = slice(0, 41)  # the centres 8, 7.75, ..., -2
+    for coarse, half in ((tab.m0, fine.m0), (tab.m1, fine.m1)):
+        coarse, half = np.array(coarse[shared]), np.array(half[0:81:2])
+        assert np.max(np.abs(coarse - half)) <= 1e-14 * np.abs(half).max()
 
 
 def test_painleve_positivity():
@@ -235,6 +251,28 @@ def test_tracy_widom_painleve_below_table():
     assert 0.0 <= v10 < v9 < 1e-15
     with pytest.raises(DomainError):
         F.tracy_widom_painleve(-10.5)
+
+
+@pytest.mark.parametrize("alpha", [-8.5, -9.0, -10.0])
+def test_painleve_asymptotic_integral_matches_32_node_rule(alpha):
+    # the closed form below the table against the 32-node rule it replaced
+    nodes, wts = np.polynomial.legendre.leggauss(32)
+    x = alpha + 0.5 * (-8.0 - alpha) * (nodes + 1.0)
+    q2 = -x / 2.0 - 1.0 / (8.0 * x * x)
+    want = 0.5 * (-8.0 - alpha) * float(np.dot(wts, (x - alpha) * q2))
+    assert F._asymptotic_integral(alpha) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_tracy_widom_painleve_rejects_non_finite(bad):
+    with pytest.raises(DomainError):
+        F.tracy_widom_painleve(bad)
+
+
+@pytest.mark.parametrize("grid", [[math.nan], [8.0, math.nan], [math.inf, 7.0], [8.0, -math.inf]])
+def test_painleve_rejects_non_finite_grid(grid):
+    with pytest.raises(DomainError):
+        F.painleve2_hastings_mcleod(grid)
 
 
 def test_painleve_grid_validation():
@@ -382,24 +420,35 @@ def test_rightmost_cdf_integral_float_n():
     assert F.rightmost_cdf(2.0, 1.0, 0.5) == F.rightmost_cdf(2, 1.0, 0.5)
 
 
-def test_painleve_partial_cell_matches_16_node_rule():
-    """The 4-point cell rule against 16 Gauss-Legendre nodes on the same
-    Hermite cubic, both added to the table's moments: within 2 ulp."""
+def test_painleve_patch_integrals_match_32_node_rule():
+    """Each patch's partial integral C_j(d) and whole-patch moments against 32
+    Gauss-Legendre nodes on that row's own polynomial (exact for its square,
+    of degree 48), within the rounding of the 32-term sums (at most 6 and 1.5
+    ulp over 2000 draws), and the CDF against the moments plus the 32-node C_j."""
     tab = F._table()
-    x16, w16 = np.polynomial.legendre.leggauss(16)
+    x32, w32 = np.polynomial.legendre.leggauss(32)
     rng = np.random.default_rng(20)
+
+    def rule(f, lo, hi):
+        u = lo + 0.5 * (hi - lo) * (x32 + 1.0)
+        return 0.5 * (hi - lo) * float(np.dot(w32, f(u)))
+
     for alpha in rng.uniform(-8.0, 8.0, 200):
-        idx = int(math.floor((tab.x0 - alpha) / tab.h))
-        x_lo = tab.xs[idx]
-        nodes = alpha + 0.5 * (x_lo - alpha) * (x16 + 1.0)
-        wts = 0.5 * (x_lo - alpha) * w16
-        xa, hseg = tab.xs[idx], tab.xs[idx + 1] - tab.xs[idx]
-        s = (nodes - xa) / hseg
-        q = ((1 + 2 * s) * (1 - s) ** 2 * tab.qs[idx] + s * (1 - s) ** 2 * hseg * tab.qps[idx]
-             + s * s * (3 - 2 * s) * tab.qs[idx + 1] + s * s * (s - 1) * hseg * tab.qps[idx + 1])
-        i0, i1 = tab.moments[:, idx]
-        want = math.exp(-(i1 - alpha * i0 + float(np.dot(wts, (nodes - alpha) * q * q))))
-        assert abs(F.tracy_widom_painleve(alpha) - want) <= 2 * np.spacing(want)
+        j = int((8.0 - alpha) / F._PII_STEP)
+        c = 8.0 - F._PII_STEP * j
+        d = alpha - c
+
+        def q2(u, row=tab.coef[j]):
+            return np.polynomial.polynomial.polyval(u, row) ** 2
+
+        want = rule(lambda u: (u - d) * q2(u), d, 0.0)
+        assert abs(np.polyval(tab.cell[j], d) * d * d - want) <= 8 * np.spacing(want)
+        for m, weight in ((tab.m0, q2), (tab.m1, lambda u: (c + u) * q2(u))):
+            patch = rule(weight, -F._PII_STEP, 0.0)
+            ulp = np.spacing(abs(m[j + 1])) + np.spacing(abs(patch))
+            assert abs(m[j + 1] - m[j] - patch) <= 2 * ulp
+        cdf = math.exp(-(tab.m1[j] - alpha * tab.m0[j] + want))
+        assert abs(F.tracy_widom_painleve(alpha) - cdf) <= 2 * np.spacing(cdf)
 
 
 def test_tw_dual_route_gate_sees_coarse_nystrom(monkeypatch):
@@ -411,12 +460,19 @@ def test_tw_dual_route_gate_sees_coarse_nystrom(monkeypatch):
     assert value <= 1e-6 and not rep.verdicts["tw_dual_route"]
 
 
-def test_tw_dual_route_gate_sees_rk4_table(monkeypatch):
-    # the Painleve table from fixed-step RK4 (steps of 5e-4) is off by ~2.6e-12:
-    # the earlier 3e-12 bound passed it
-    monkeypatch.setattr(F, "_march", lambda grid: painleve2_rk4(
-        grid, K.airy_ai(float(grid[0])), K.airy_ai_prime(float(grid[0]))))
-    monkeypatch.setattr(F, "_TABLE", None)
+def test_tw_dual_route_gate_sees_degree_12_table(monkeypatch):
+    # Taylor patches of degree 12 instead of 24 are off by ~2.5e-13: the
+    # earlier 3e-12 bound passed them
+    monkeypatch.setattr(F, "_TABLE", F._PainleveTable(deg=12))
     rep = ex.run_suite("fredholm", 0)[0]
     value = {s["name"]: s["value"] for s in rep.statistics}["tw_dual_route"]
-    assert 1e-12 <= value <= 3e-12 and not rep.verdicts["tw_dual_route"]
+    assert 1e-13 <= value <= 3e-12 and not rep.verdicts["tw_dual_route"]
+
+
+def test_rightmost_n1_gaussian_gate_sees_cdf_fault(monkeypatch):
+    # the rightmost CDF off by 1e-10 relative: the old 1e-8 bound passed it
+    exact = F.rightmost_cdf
+    monkeypatch.setattr(F, "rightmost_cdf", lambda *a, **kw: exact(*a, **kw) * (1.0 + 1e-10))
+    rep = ex.run_suite("fredholm", 0)[0]
+    value = {s["name"]: s["value"] for s in rep.statistics}["rightmost_n1_gaussian"]
+    assert abs(value) <= 1e-8 and not rep.verdicts["rightmost_n1_gaussian"]

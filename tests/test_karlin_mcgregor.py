@@ -438,6 +438,15 @@ def test_p2_origin_norm_gate_sees_density_fault(monkeypatch):
     assert abs(value) <= 1e-6 and not rep.verdicts["p2_origin_norm"]
 
 
+def test_imhof_md_gate_sees_goe_constant_fault(monkeypatch):
+    # the GOE-side log-density off by 1e-10: the old 1e-8 bound passed the ratio
+    exact = km._log_g_nt_origin
+    monkeypatch.setattr(km, "_log_g_nt_origin", lambda *args: exact(*args) + 1e-10)
+    rep = ex.run_suite("km", 0)[0]
+    value = {s["name"]: s["value"] for s in rep.statistics}["imhof_md"]
+    assert abs(value) <= 1e-8 and not rep.verdicts["imhof_md"]
+
+
 def test_fn_nu_asymptotics():
     # ratio against the small-x display tends to 1
     nu, n = 0.5, 2
